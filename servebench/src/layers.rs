@@ -35,7 +35,6 @@ pub struct LayerInputs<'a> {
 /// Time one traced request spent in each layer, nanoseconds.
 #[derive(Clone, Copy, Debug, Default)]
 struct Layers {
-    matched: bool,
     engine: u64,
     outer: u64,
     inner_in_outer: u64,
@@ -104,7 +103,6 @@ fn attribute(
         };
         let span = &mut spans[s];
         span.request = i as u64;
-        layers[i].matched = true;
         layers[i].engine = span.dur();
         owner.insert(span.id, i);
         if span.parent != 0 {

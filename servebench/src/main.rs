@@ -57,6 +57,9 @@ const READ_RATE: f64 = 250.0;
 const WRITE_RATE: f64 = 4.0;
 /// Cold queries drawn per second of window: more than a session can serve.
 const COLD_PER_SECOND: usize = 500;
+/// `warm_hits`: store misses sent after the window, one at a time, for
+/// `heavy_*` (p75 needs 40 of them; 160 make 8 blocks for p50).
+const AFTER_MISSES: usize = 160;
 /// A run that has not finished after this long is ended with an error.
 const WATCHDOG: Duration = Duration::from_secs(170);
 /// Route name of the traced engine in `--trace 1` runs.
@@ -73,6 +76,9 @@ const TRACED_ROUTE: &str = "traced";
 /// on `cold_explain` waited ~2 ms behind sessions in every sub-window; 2 s
 /// and longer sub-windows do not show it.)
 const SUB_WINDOW: Duration = Duration::from_secs(2);
+/// A sub-window in which the host stole more than this share of the CPU is
+/// left out of the end-to-end metrics (see `Phase::quiet`).
+const QUIET_STEAL: f64 = 0.05;
 /// `warm_hits` fitness: the engine's share of a store-hit round trip.
 const WARM_ENGINE_SHARE_MAX: f64 = 0.05;
 /// End-to-end timings are medians over at most this many consecutive blocks
@@ -114,15 +120,6 @@ impl Workload {
             Workload::WarmHits => "warm_hits",
             Workload::ColdExplain => "cold_explain",
             Workload::DisturbStream => "disturb_stream",
-        }
-    }
-
-    /// The requests `heavy_*` times: the ones that make the engine search.
-    fn heavy(self) -> Kind {
-        match self {
-            Workload::WarmHits => Kind::Setup,
-            Workload::ColdExplain => Kind::Cold,
-            Workload::DisturbStream => Kind::Write,
         }
     }
 
@@ -258,15 +255,21 @@ struct Sub {
 }
 
 impl Phase {
-    /// The sub-windows the end-to-end metrics come from: the half (rounded
-    /// up) in which the host stole the least CPU, in window order. A
-    /// contended host stretches every timing, and steal came and went within
-    /// a run: at 10–24% steal a run's store-hit p99 read 2–5x the quiet
-    /// runs'.
+    /// The sub-windows the end-to-end metrics come from, in window order:
+    /// every one in which the host stole at most [`QUIET_STEAL`] of the CPU,
+    /// or, when fewer than half did, the half (rounded up) with the least
+    /// steal. A contended host stretches every timing, and steal came and
+    /// went within a run: at 10–24% steal a run's store-hit p99 read 2–5x a
+    /// quiet run's.
     fn quiet(&self) -> Vec<&Sub> {
+        let half = self.subs.len().div_ceil(2);
         let mut by_steal: Vec<usize> = (0..self.subs.len()).collect();
         by_steal.sort_by(|&a, &b| self.subs[a].steal.total_cmp(&self.subs[b].steal));
-        by_steal.truncate(self.subs.len().div_ceil(2));
+        let quiet = by_steal
+            .iter()
+            .filter(|&&i| self.subs[i].steal <= QUIET_STEAL)
+            .count();
+        by_steal.truncate(quiet.max(half));
         by_steal.sort_unstable();
         by_steal.iter().map(|&i| &self.subs[i]).collect()
     }
@@ -284,6 +287,8 @@ impl Phase {
 /// What the last set-up repetition's engines served in the window.
 struct Served {
     phases: Vec<Phase>,
+    /// `warm_hits`: the store misses sent after the window.
+    misses: Stream,
     /// Traced-route store warm-up (`--trace 1` only).
     traced_warmup: Stream,
     /// Requests the servers shed (429) and let expire (503).
@@ -627,8 +632,30 @@ fn serve_once(args: &Args, plan: &Plan, rep: usize, setup: &mut Stream) -> (f64,
             batches: tracer.batches(),
         });
     }
+    // `warm_hits` makes no store misses in its window. Its heavy requests are
+    // store misses sent one at a time right after the window.
+    let mut misses = Stream::default();
+    if args.workload == Workload::WarmHits && !args.trace {
+        with_server(&config, |at, _| {
+            let target = Target {
+                addr: at,
+                route: None,
+            };
+            let mut next = 0..AFTER_MISSES.min(plan.cold_bodies.len());
+            let end = Instant::now() + WATCHDOG;
+            load::closed_loop(
+                target,
+                &mut misses,
+                Kind::Cold,
+                &plan.cold_bodies,
+                || next.next(),
+                end,
+            );
+        });
+    }
     let served = Served {
         phases,
+        misses,
         traced_warmup,
         shed,
         expired,
@@ -691,6 +718,9 @@ fn reference(args: &Args, plan: &Plan, served: &Served, ds: &Dataset, gcn: &Gcn)
             asked.insert(plan.inputs.cold[r.query as usize].clone());
         }
     }
+    for r in &served.misses.records {
+        asked.insert(plan.inputs.cold[r.query as usize].clone());
+    }
     let cold = check::cold_answers(&graph, gcn, &rcw_config(), &asked, threads);
     let writes = (args.workload == Workload::DisturbStream).then(|| {
         let n = served
@@ -731,6 +761,15 @@ fn check_answers(
                     "set-up answer for {q:?} differs from the reference"
                 )),
             }
+        }
+    }
+    let answers = decode(&served.misses);
+    for r in &served.misses.records {
+        verdict.attempted += 1;
+        let q = &plan.inputs.cold[r.query as usize];
+        match answers.get(r.answer as usize).and_then(Option::as_ref) {
+            Some(a) if r.ok() && check::same_answer(a, &reference.cold[q]) => {}
+            _ => verdict.fail(format!("store miss {q:?} differs from the reference")),
         }
     }
     let mut decoded = Vec::new();
@@ -1139,14 +1178,16 @@ fn main() -> ExitCode {
         layers::per_layer(&inputs, &mut verdict)
     } else {
         let warm = window_ms(&served, Kind::Warm);
-        let heavy = if args.workload.heavy() == Kind::Setup {
-            setup
+        // The requests that make the engine search.
+        let heavy = match args.workload {
+            Workload::WarmHits => served
+                .misses
                 .records
                 .iter()
                 .map(|r| r.latency() as f64 / 1e6)
-                .collect()
-        } else {
-            window_ms(&served, args.workload.heavy())
+                .collect(),
+            Workload::ColdExplain => window_ms(&served, Kind::Cold),
+            Workload::DisturbStream => window_ms(&served, Kind::Write),
         };
         let mut tail = |name: &str, samples: &[f64], p: f64, scale: f64, unit: &'static str| {
             let value = stats::block_percentile(samples, p, BLOCKS);
