@@ -47,6 +47,18 @@ pub fn median(values: &mut [f64]) -> f64 {
     }
 }
 
+/// The quiet ones among readings taken under the given host steal shares,
+/// as ascending indices: every reading with at most `limit` steal, or, when
+/// fewer than half are that quiet, the half (rounded up) with the least.
+pub fn quiet(steal: &[f64], limit: f64) -> Vec<usize> {
+    let mut by_steal: Vec<usize> = (0..steal.len()).collect();
+    by_steal.sort_by(|&a, &b| steal[a].total_cmp(&steal[b]));
+    let quiet = steal.iter().filter(|&&s| s <= limit).count();
+    by_steal.truncate(quiet.max(steal.len().div_ceil(2)));
+    by_steal.sort_unstable();
+    by_steal
+}
+
 /// Percentile `p` of samples in time order, taken per block and reported as
 /// the median over blocks. The samples are cut into as many equal
 /// consecutive blocks (at most `max_blocks`) as keep every block large
@@ -160,6 +172,14 @@ mod tests {
         assert_eq!(block_percentile(&xs, 99.0, 20), Some(1.0));
         assert_eq!(block_percentile(&xs[..999], 99.0, 20), None);
         assert_eq!(block_percentile(&xs[..30], 50.0, 20), Some(1.0));
+    }
+
+    #[test]
+    fn quiet_readings_are_the_low_steal_ones() {
+        assert_eq!(quiet(&[0.01, 0.2, 0.03, 0.04], 0.05), vec![0, 2, 3]);
+        // Too few under the limit: the least-stolen half, rounded up.
+        assert_eq!(quiet(&[0.3, 0.1, 0.2, 0.04, 0.5], 0.05), vec![1, 2, 3]);
+        assert_eq!(quiet(&[], 0.05), Vec::<usize>::new());
     }
 
     #[test]
