@@ -558,10 +558,7 @@ impl<'m, M: VerifiableModel + ?Sized> WitnessEngine<'m, M> {
 
     /// A copy of the engine-lifetime counters.
     pub fn stats(&self) -> EngineStats {
-        self.stats
-            .lock()
-            .expect("engine stats lock poisoned")
-            .clone()
+        lock_recover(&self.stats).clone()
     }
 
     /// A coherent point-in-time picture of the engine: counters, store
@@ -572,11 +569,7 @@ impl<'m, M: VerifiableModel + ?Sized> WitnessEngine<'m, M> {
         let graph = self.graph_snapshot();
         let (hood_hits, hood_misses) = self.caches.hood_stats();
         EngineSnapshot {
-            stats: self
-                .stats
-                .lock()
-                .expect("engine stats lock poisoned")
-                .clone(),
+            stats: lock_recover(&self.stats).clone(),
             stored: store.len(),
             epoch: graph.epoch(),
             feature_epoch: graph.feature_epoch(),
@@ -593,9 +586,7 @@ impl<'m, M: VerifiableModel + ?Sized> WitnessEngine<'m, M> {
 
     /// A copy of the stored witness for a test-node set, if one exists.
     pub fn stored(&self, test_nodes: &[NodeId]) -> Option<StoredWitness> {
-        self.store
-            .lock()
-            .expect("engine store lock poisoned")
+        lock_recover(&self.store)
             .get(&store_key(test_nodes))
             .cloned()
     }
@@ -608,10 +599,7 @@ impl<'m, M: VerifiableModel + ?Sized> WitnessEngine<'m, M> {
     /// Drops all stored witnesses (queries become cold again; the shared
     /// immutable tier is unaffected).
     pub fn clear_store(&self) {
-        self.store
-            .lock()
-            .expect("engine store lock poisoned")
-            .clear();
+        lock_recover(&self.store).clear();
     }
 
     /// Verifies a witness against the engine's current graph and model
@@ -1596,5 +1584,27 @@ mod tests {
         // second query is a store hit even on the parallel path
         engine.generate(&tests);
         assert_eq!(engine.stats().warm_hits, 1);
+    }
+
+    #[test]
+    fn read_accessors_survive_poisoned_locks() {
+        let (g, gcn, _appnp, tests) = setup();
+        let engine = WitnessEngine::new(Arc::clone(&g), &gcn, quick_cfg());
+        let stored = engine.generate(&tests);
+        // A panic while holding a guard poisons the mutex behind it.
+        let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _store = engine.store.lock();
+            let _stats = engine.stats.lock();
+            panic!("poison the store and stats locks");
+        }));
+        assert!(poisoned.is_err());
+        assert!(engine.store.is_poisoned() && engine.stats.is_poisoned());
+
+        assert_eq!(engine.stats().sessions_run, 1);
+        assert_eq!(engine.snapshot().stored, 1);
+        let entry = engine.stored(&tests).expect("entry survives the poison");
+        assert_eq!(entry.witness.subgraph, stored.witness.subgraph);
+        engine.clear_store();
+        assert_eq!(engine.stored_count(), 0);
     }
 }

@@ -298,7 +298,7 @@ impl Client {
         body_text: &str,
     ) -> Result<(u16, String), ClientError> {
         // Head and body in one write: two small segments would trip Nagle +
-        // delayed-ACK stalls (see `http::write_response`). Built by hand —
+        // delayed-ACK stalls (see `http::encode_response`). Built by hand —
         // one request per warm hit makes the formatting itself hot.
         let mut message =
             String::with_capacity(128 + self.prefix.len() + path.len() + body_text.len());
@@ -502,9 +502,8 @@ impl Client {
         self.request_idempotent_raw("POST", "/generate", body_text)
     }
 
-    /// `POST /generate/batch` for several test-node sets. (The server still
-    /// answers the pre-v1 `/generate_batch` spelling, with a `Deprecation`
-    /// header; the client speaks the canonical path.)
+    /// `POST /generate/batch` for several test-node sets. The reply is
+    /// decoded by the direct codec, like [`Client::generate`]'s.
     pub fn generate_batch(
         &mut self,
         queries: &[Vec<usize>],
@@ -518,14 +517,12 @@ impl Client {
                     .collect(),
             ),
         )]));
-        let (status, reply) = self.request_idempotent("POST", "/generate/batch", Some(&body))?;
-        let reply = self.expect_ok(status, reply)?;
-        reply
-            .field("results")?
-            .as_arr()?
-            .iter()
-            .map(|r| wire::generation_from_json(r).map_err(ClientError::from))
-            .collect()
+        let (status, text) =
+            self.request_idempotent_raw("POST", "/generate/batch", &body.encode())?;
+        if status != 200 {
+            return Err(protocol_error(status, &text));
+        }
+        Ok(wire::generations_from_body(text.trim_end())?)
     }
 
     /// `POST /disturb` with a batch of edge flips. Not idempotent (a

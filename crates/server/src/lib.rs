@@ -16,7 +16,6 @@
 //! |---|---|---|---|
 //! | `[/NAME]/generate` | POST | `{"v": 1, "nodes": [v, ...]}` | witness + level + stats |
 //! | `[/NAME]/generate/batch` | POST | `{"v": 1, "queries": [[v, ...], ...]}` | `{"v": 1, "results": [...]}` |
-//! | `[/NAME]/generate_batch` | POST | deprecated alias of `/generate/batch` (`Deprecation` header) | |
 //! | `[/NAME]/disturb` | POST | `{"v": 1, "flips": [[u, v], ...]}` | [`rcw_core::DisturbReport`] |
 //! | `[/NAME]/subscribe` | POST | `{"v": 1, "nodes": [v, ...]}` | NDJSON witness-update stream |
 //! | `[/NAME]/stats` | GET | — | engine snapshot(s) + server counters |
@@ -171,9 +170,8 @@ const INJECTED_STALL: Duration = Duration::from_millis(250);
 pub const SUBSCRIBE_BUFFER_CAP: usize = 256 * 1024;
 
 /// Endpoint names, reserved so an engine route can never shadow them.
-const RESERVED_ROUTE_NAMES: [&str; 7] = [
+const RESERVED_ROUTE_NAMES: [&str; 6] = [
     "generate",
-    "generate_batch",
     "disturb",
     "subscribe",
     "stats",
@@ -842,15 +840,12 @@ fn worker_loop(
         if live.is_empty() {
             continue;
         }
+        // A claim is all-`Generate` for one engine, or a single `Other`.
         match live[0].kind {
-            ItemKind::Generate { engine_idx }
-                if live
-                    .iter()
-                    .all(|item| item.kind == ItemKind::Generate { engine_idx }) =>
-            {
+            ItemKind::Generate { engine_idx } => {
                 serve_generate_batch(live, engine_idx, state, done);
             }
-            _ => {
+            ItemKind::Other => {
                 for item in live {
                     serve_single(item, state, done);
                 }
@@ -1675,11 +1670,7 @@ enum Endpoint {
     Healthz,
     Stats,
     Generate,
-    /// `deprecated` marks the legacy `/generate_batch` spelling, which
-    /// answers identically plus a `Deprecation` header.
-    GenerateBatch {
-        deprecated: bool,
-    },
+    GenerateBatch,
     Disturb,
     Subscribe,
     Shutdown,
@@ -1721,13 +1712,7 @@ const ENDPOINT_TABLE: &[EndpointSpec] = &[
     EndpointSpec {
         method: "POST",
         path: "generate/batch",
-        endpoint: Endpoint::GenerateBatch { deprecated: false },
-        global_only: false,
-    },
-    EndpointSpec {
-        method: "POST",
-        path: "generate_batch",
-        endpoint: Endpoint::GenerateBatch { deprecated: true },
+        endpoint: Endpoint::GenerateBatch,
         global_only: false,
     },
     EndpointSpec {
@@ -1817,7 +1802,6 @@ fn overload_response(state: &ServeState<'_, '_>) -> Response {
             ("queue_bound", Json::num(state.config.queue_bound as u64)),
         ]))
         .encode(),
-        headers: Vec::new(),
     }
 }
 
@@ -1826,9 +1810,10 @@ fn deadline_response() -> Response {
 }
 
 /// Routes one request through the endpoint table. Returns the response and
-/// whether the server should stop after sending it. `/subscribe` never
-/// reaches here — [`serve_single`] intercepts it (a stream is not a
-/// [`Response`]).
+/// whether the server should stop after sending it. `/generate` never
+/// reaches here — [`classify`] sends it to [`serve_generate_batch`] — and
+/// neither does `/subscribe`, which [`serve_single`] intercepts (a stream is
+/// not a [`Response`]).
 fn route(
     request: &Request,
     state: &ServeState<'_, '_>,
@@ -1849,20 +1834,7 @@ fn route(
             .encode(),
         ),
         Ok(Endpoint::Stats) => handle_stats(state, engine_idx),
-        Ok(Endpoint::Generate) => handle_generate(request, engine, state, budget),
-        Ok(Endpoint::GenerateBatch { deprecated }) => {
-            let response = handle_generate_batch(request, engine, state, budget);
-            if deprecated {
-                // The legacy spelling answers identically, flagged per RFC
-                // 9745 so clients can find the successor mechanically.
-                response.with_header(
-                    "deprecation",
-                    "@0; successor=\"/generate/batch\"".to_string(),
-                )
-            } else {
-                response
-            }
-        }
+        Ok(Endpoint::GenerateBatch) => handle_generate_batch(request, engine, state, budget),
         Ok(Endpoint::Disturb) => handle_disturb(request, engine, engine_idx, state, done),
         // Shutdown is a whole-process action: it only exists unrouted
         // (the table hides it from routed paths).
@@ -1872,8 +1844,8 @@ fn route(
                 true,
             )
         }
-        // Unreachable: serve_single intercepts subscribes before routing.
-        Ok(Endpoint::Subscribe) => Response::error(500, "internal error"),
+        // Unreachable: both are served before routing (see above).
+        Ok(Endpoint::Generate | Endpoint::Subscribe) => Response::error(500, "internal error"),
         Err(true) => Response::error(
             405,
             &format!("method {} not allowed for {path}", request.method),
@@ -1883,35 +1855,31 @@ fn route(
     (response, false)
 }
 
+/// The request body as text: every body on this wire is UTF-8 JSON.
+fn body_text(request: &Request) -> Result<&str, Response> {
+    std::str::from_utf8(&request.body).map_err(|_| Response::error(400, "body is not utf-8"))
+}
+
+/// A body the wire decoders refused: 400, under the `bad_version` code when
+/// its `"v"` envelope was at fault.
+fn body_rejection(e: wire::WireError) -> Response {
+    if e.bad_version {
+        Response::error_coded(400, "bad_version", &e.to_string(), false)
+    } else {
+        Response::error(400, &e.to_string())
+    }
+}
+
+/// Parses a control body into a [`Json`] tree and checks its envelope.
 fn parse_body(request: &Request) -> Result<Json, Response> {
-    let text = std::str::from_utf8(&request.body)
-        .map_err(|_| Response::error(400, "body is not utf-8"))?;
-    Json::parse(text).map_err(|e| Response::error(400, &e.to_string()))
+    let body = Json::parse(body_text(request)?).map_err(body_rejection)?;
+    wire::check_version(&body).map_err(body_rejection)?;
+    Ok(body)
 }
 
-/// Enforces the v1 envelope on a tree-parsed request body: missing or
-/// unsupported versions answer 400 with the explicit `bad_version` code.
-fn check_body_version(body: &Json) -> Result<(), Response> {
-    wire::check_version(body)
-        .map_err(|e| Response::error_coded(400, "bad_version", &e.to_string(), false))
-}
-
-/// Pulls and validates a test-node set against the engine's graph, so
-/// invalid queries become a 400 instead of a worker panic.
-fn parse_nodes(value: &Json, num_nodes: usize) -> Result<Vec<usize>, Response> {
-    let nodes = value
-        .as_arr()
-        .and_then(|items| {
-            items
-                .iter()
-                .map(|x| x.as_usize())
-                .collect::<Result<Vec<_>, _>>()
-        })
-        .map_err(|e| Response::error(400, &e.to_string()))?;
-    validate_nodes(nodes, num_nodes)
-}
-
-/// The shared range/emptiness validation behind both `/generate` decoders.
+/// Range/emptiness validation of a decoded test-node set against the
+/// engine's graph, so invalid queries become a 400 instead of a worker
+/// panic.
 fn validate_nodes(nodes: Vec<usize>, num_nodes: usize) -> Result<Vec<usize>, Response> {
     if nodes.is_empty() {
         return Err(Response::error(400, "empty test-node set"));
@@ -1925,23 +1893,11 @@ fn validate_nodes(nodes: Vec<usize>, num_nodes: usize) -> Result<Vec<usize>, Res
     Ok(nodes)
 }
 
-/// Parses and validates a `/generate` request body into its test-node set.
-///
-/// The direct decoder handles the well-formed case without building a
-/// [`Json`] tree; anything it rejects is re-parsed through the tree path so
-/// malformed bodies keep their established 400 messages.
+/// Decodes and validates a `/generate` or `/subscribe` body into its
+/// test-node set.
 fn generate_nodes(request: &Request, num_nodes: usize) -> Result<Vec<usize>, Response> {
-    if let Ok(text) = std::str::from_utf8(&request.body) {
-        if let Ok(nodes) = wire::nodes_from_body(text) {
-            return validate_nodes(nodes, num_nodes);
-        }
-    }
-    let body = parse_body(request)?;
-    check_body_version(&body)?;
-    let value = body
-        .field("nodes")
-        .map_err(|e| Response::error(400, &e.to_string()))?;
-    parse_nodes(value, num_nodes)
+    let nodes = wire::nodes_from_body(body_text(request)?).map_err(body_rejection)?;
+    validate_nodes(nodes, num_nodes)
 }
 
 /// Maps an engine-side budget abort to the 503 wire error (counted).
@@ -1950,64 +1906,32 @@ fn budget_rejection(state: &ServeState<'_, '_>) -> Response {
     deadline_response()
 }
 
-fn handle_generate(
-    request: &Request,
-    engine: &dyn ServedEngine,
-    state: &ServeState<'_, '_>,
-    budget: &SessionBudget,
-) -> Response {
-    let nodes = match generate_nodes(request, engine.num_nodes()) {
-        Ok(nodes) => nodes,
-        Err(r) => return r,
-    };
-    match engine.generate_with_budget(&nodes, budget) {
-        Ok(result) => Response::ok(wire::generation_to_body(&result)),
-        Err(BudgetExceeded) => budget_rejection(state),
-    }
-}
-
 fn handle_generate_batch(
     request: &Request,
     engine: &dyn ServedEngine,
     state: &ServeState<'_, '_>,
     budget: &SessionBudget,
 ) -> Response {
-    let body = match parse_body(request) {
-        Ok(v) => v,
-        Err(r) => return r,
-    };
-    if let Err(r) = check_body_version(&body) {
-        return r;
-    }
-    let queries = match body
-        .field("queries")
-        .and_then(|q| q.as_arr())
-        .map_err(|e| Response::error(400, &e.to_string()))
-    {
-        Ok(q) => q,
-        Err(r) => return r,
-    };
-    let num_nodes = engine.num_nodes();
-    // Validate the whole batch before generating anything: a malformed
-    // batch is rejected all-or-nothing. Generation itself is sequential —
-    // on a mid-batch deadline abort the batch answers 503, and the queries
-    // already answered stay in the store (each is a complete, valid witness
-    // that makes a retry warm).
-    let mut parsed = Vec::with_capacity(queries.len());
-    for query in queries {
-        match parse_nodes(query, num_nodes) {
-            Ok(nodes) => parsed.push(nodes),
-            Err(r) => return r,
+    let answer = || -> Result<Response, Response> {
+        let queries = wire::queries_from_body(body_text(request)?).map_err(body_rejection)?;
+        let num_nodes = engine.num_nodes();
+        // Validate the whole batch before generating anything: a malformed
+        // batch is rejected all-or-nothing. Generation itself is sequential —
+        // on a mid-batch deadline abort the batch answers 503, and the
+        // queries already answered stay in the store (each is a complete,
+        // valid witness that makes a retry warm).
+        let queries = queries
+            .into_iter()
+            .map(|nodes| validate_nodes(nodes, num_nodes))
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut results = Vec::with_capacity(queries.len());
+        for nodes in &queries {
+            let result = engine.generate_with_budget(nodes, budget);
+            results.push(result.map_err(|BudgetExceeded| budget_rejection(state))?);
         }
-    }
-    let mut results = Vec::with_capacity(parsed.len());
-    for nodes in &parsed {
-        match engine.generate_with_budget(nodes, budget) {
-            Ok(result) => results.push(wire::generation_to_json(&result)),
-            Err(BudgetExceeded) => return budget_rejection(state),
-        }
-    }
-    Response::ok(wire::versioned(Json::obj([("results", Json::Arr(results))])).encode())
+        Ok(Response::ok(wire::generations_to_body(&results)))
+    };
+    answer().unwrap_or_else(|refusal| refusal)
 }
 
 fn handle_disturb(
@@ -2021,9 +1945,6 @@ fn handle_disturb(
         Ok(v) => v,
         Err(r) => return r,
     };
-    if let Err(r) = check_body_version(&body) {
-        return r;
-    }
     // Either one disturbance ({"flips": [...]}) or a batch
     // ({"disturbances": [{"flips": [...]}, ...]}).
     let decoded = if body.get("disturbances").is_some() {
@@ -2331,10 +2252,6 @@ mod tests {
         );
         assert_eq!(
             classify(&config, &request("GET", "/generate")),
-            ItemKind::Other
-        );
-        assert_eq!(
-            classify(&config, &request("POST", "/generate_batch")),
             ItemKind::Other
         );
         assert_eq!(

@@ -1,11 +1,12 @@
 //! The line-oriented JSON wire format.
 //!
-//! The workspace builds without external crates, so both halves of the codec
-//! are hand-rolled here: a small [`Json`] value type with a recursive-descent
-//! parser and serializer, and on top of it the first public, stable
-//! serialization of the domain types a serving layer exchanges —
-//! [`Witness`], [`Disturbance`], [`EngineStats`] / [`EngineSnapshot`],
-//! [`DisturbReport`], and generation results.
+//! The workspace builds without external crates, so the codec is
+//! hand-rolled here: a small [`Json`] value type with a recursive-descent
+//! parser and serializer for the control bodies ([`Disturbance`],
+//! [`EngineStats`] / [`EngineSnapshot`], [`DisturbReport`], errors), and
+//! direct readers and writers for the bodies that carry node lists and
+//! witnesses (`/generate`, `/generate/batch`, `/subscribe` and its frames),
+//! which skip the tree.
 //!
 //! Encodings are stable by construction: object keys are written in a fixed
 //! order, integers are emitted without a fractional part, and every decoder
@@ -16,6 +17,7 @@ use rcw_core::{DisturbReport, EngineSnapshot, EngineStats, GenerationResult, Wit
 use rcw_core::{GenerationStats, RepairOutcome, Witness};
 use rcw_graph::{Disturbance, EdgeSubgraph, NodeId};
 use rcw_shard::ShardStats;
+use std::borrow::Cow;
 use std::fmt;
 use std::time::Duration;
 
@@ -26,7 +28,7 @@ const MAX_DEPTH: usize = 64;
 /// The wire protocol version this build speaks. Every HTTP body — request
 /// and response, success and error — carries it as a top-level `"v"` field;
 /// body decoders reject missing or unsupported versions with a typed error.
-/// Type-level codecs ([`witness_to_json`], [`generation_to_json`], …) stay
+/// Objects nested in a body (a batch's results, a frame's result) stay
 /// unversioned: the envelope belongs to the transport body, not the types.
 pub const WIRE_VERSION: u64 = 1;
 
@@ -44,23 +46,26 @@ pub fn versioned(body: Json) -> Json {
     }
 }
 
-/// Typed error for an unsupported `"v"` value.
-fn unsupported_version(v: u64) -> WireError {
-    WireError::decode(format!(
-        "unsupported wire version {v} (this build speaks v{WIRE_VERSION})"
-    ))
-}
-
 /// Checks a parsed body's version envelope: the top-level `"v"` field must
 /// be present and equal to [`WIRE_VERSION`]. Missing and future versions are
-/// both typed decode errors, so a v2 peer gets a deterministic rejection
-/// instead of a field-by-field parse failure.
+/// both typed decode errors (flagged [`WireError::bad_version`]), so a v2
+/// peer gets a deterministic rejection instead of a field-by-field parse
+/// failure.
 pub fn check_version(body: &Json) -> Result<(), WireError> {
-    let v = body.field("v")?.as_u64()?;
-    if v != WIRE_VERSION {
-        return Err(unsupported_version(v));
+    check_version_value(body.get("v"))
+}
+
+/// The envelope check behind every versioned decoder, given the body's
+/// `"v"` value (`None` when absent).
+fn check_version_value(v: Option<&Json>) -> Result<(), WireError> {
+    let v = v.ok_or_else(|| WireError::envelope("missing field 'v'"))?;
+    match v.as_u64() {
+        Ok(WIRE_VERSION) => Ok(()),
+        Ok(v) => Err(WireError::envelope(format!(
+            "unsupported wire version {v} (this build speaks v{WIRE_VERSION})"
+        ))),
+        Err(e) => Err(WireError::envelope(e.message)),
     }
-    Ok(())
 }
 
 /// Error produced when parsing or decoding wire data.
@@ -70,6 +75,9 @@ pub struct WireError {
     pub pos: usize,
     /// Human-readable description.
     pub message: String,
+    /// The body's `"v"` envelope is missing or unsupported (the server
+    /// answers these with the `bad_version` code).
+    pub bad_version: bool,
 }
 
 impl WireError {
@@ -77,12 +85,21 @@ impl WireError {
         WireError {
             pos,
             message: message.into(),
+            bad_version: false,
         }
     }
 
     /// A decode-level error (no meaningful byte position).
     pub fn decode(message: impl Into<String>) -> Self {
         WireError::new(0, message)
+    }
+
+    /// A version-envelope error.
+    fn envelope(message: impl Into<String>) -> Self {
+        WireError {
+            bad_version: true,
+            ..WireError::decode(message)
+        }
     }
 }
 
@@ -116,12 +133,8 @@ impl Json {
     pub fn parse(text: &str) -> Result<Json, WireError> {
         let bytes = text.as_bytes();
         let mut p = Parser { bytes, pos: 0 };
-        p.skip_ws();
         let v = p.value(0)?;
-        p.skip_ws();
-        if p.pos != bytes.len() {
-            return Err(WireError::new(p.pos, "trailing characters after value"));
-        }
+        p.end()?;
         Ok(v)
     }
 
@@ -319,6 +332,15 @@ impl Parser<'_> {
 
     fn peek(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
+    }
+
+    /// Accepts trailing whitespace only: one document per body.
+    fn end(&mut self) -> Result<(), WireError> {
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(WireError::new(self.pos, "trailing characters after value"));
+        }
+        Ok(())
     }
 
     fn expect(&mut self, b: u8) -> Result<(), WireError> {
@@ -538,13 +560,26 @@ fn utf8_len(first: u8) -> usize {
 // The tree codec above allocates a `Json` node per value — fine for control
 // endpoints, but a warm `/generate` answer is ~100 numbers and the tree walk
 // costs more than the engine's store hit. These readers decode the known
-// response shapes straight into their structs, one `Vec` per array and zero
+// body shapes straight into their structs, one `Vec` per array and zero
 // per-number work beyond the digits.
 // ---------------------------------------------------------------------------
 
+/// A request-body value decoded without a tree. The outer `Err` is
+/// malformed JSON, which refuses the body at once; the inner one is
+/// well-formed JSON of the wrong shape, reported only after the `"v"`
+/// envelope has passed. That is the order a body parsed whole and then
+/// checked gives: syntax, then version, then content.
+type Checked<T> = Result<Result<T, WireError>, WireError>;
+
+/// A node id, under the tree's integer rule ([`Json::as_usize`]): `3`,
+/// `3.0` and `3e0` are node 3; `-1` and `1.5` are refused.
+fn node_id(p: &mut Parser<'_>, depth: usize) -> Checked<usize> {
+    Ok(p.value(depth)?.as_usize())
+}
+
 impl<'a> Parser<'a> {
     /// Walks an object's fields, handing each key to `visit` with the parser
-    /// positioned at the value. Keys must be escape-free (ours always are).
+    /// positioned at the value.
     fn fields(
         &mut self,
         mut visit: impl FnMut(&mut Self, &str) -> Result<(), WireError>,
@@ -558,10 +593,10 @@ impl<'a> Parser<'a> {
         }
         loop {
             self.skip_ws();
-            let key = self.raw_str()?;
+            let key = self.key()?;
             self.skip_ws();
             self.expect(b':')?;
-            visit(self, key)?;
+            visit(self, &key)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -574,8 +609,21 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// An object key: borrowed from the input, or decoded when it carries
+    /// escapes (`"no\u0064es"` is the key `nodes`, as in a [`Json`] tree).
+    fn key(&mut self) -> Result<Cow<'a, str>, WireError> {
+        let start = self.pos;
+        match self.raw_str() {
+            Ok(key) => Ok(Cow::Borrowed(key)),
+            Err(_) => {
+                self.pos = start;
+                self.string().map(Cow::Owned)
+            }
+        }
+    }
+
     /// A quoted string borrowed from the input. Rejects escapes instead of
-    /// decoding them: no key or enum value on this wire ever needs one.
+    /// decoding them: no enum value on this wire ever needs one.
     fn raw_str(&mut self) -> Result<&'a str, WireError> {
         self.skip_ws();
         self.expect(b'"')?;
@@ -628,15 +676,6 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// The `"v"` envelope value: an integer equal to [`WIRE_VERSION`].
-    fn version_value(&mut self) -> Result<u64, WireError> {
-        let v = self.usize_value()? as u64;
-        if v != WIRE_VERSION {
-            return Err(unsupported_version(v));
-        }
-        Ok(v)
-    }
-
     /// Iterates a JSON array, calling `visit` once per element.
     fn elements(
         &mut self,
@@ -661,6 +700,35 @@ impl<'a> Parser<'a> {
                 _ => return Err(WireError::new(self.pos, "expected ',' or ']'")),
             }
         }
+    }
+
+    /// A JSON array whose items `item` decodes (given their nesting depth),
+    /// as a [`Checked`] value: the first item of the wrong shape is kept
+    /// while the rest of the array is still parsed for syntax.
+    fn list<T>(
+        &mut self,
+        depth: usize,
+        mut item: impl FnMut(&mut Self, usize) -> Checked<T>,
+    ) -> Checked<Vec<T>> {
+        self.skip_ws();
+        if self.peek() != Some(b'[') {
+            let other = self.value(depth)?;
+            return Ok(Err(WireError::decode(format!(
+                "expected array, got {other:?}"
+            ))));
+        }
+        let mut items = Ok(Vec::new());
+        self.elements(|p| {
+            let next = item(p, depth + 1)?;
+            if let Ok(done) = &mut items {
+                match next {
+                    Ok(x) => done.push(x),
+                    Err(e) => items = Err(e),
+                }
+            }
+            Ok(())
+        })?;
+        Ok(items)
     }
 
     fn usize_array(&mut self) -> Result<Vec<usize>, WireError> {
@@ -774,7 +842,7 @@ pub fn generation_from_body(text: &str) -> Result<GenerationResult, WireError> {
         (None, None, None, None, None);
     p.fields(|p, key| {
         match key {
-            "v" => version = Some(p.version_value()?),
+            "v" => version = Some(p.value(1)?),
             "witness" => witness = Some(p.witness_value()?),
             "level" => level = Some(level_from_str(p.raw_str()?)?),
             "nontrivial" => nontrivial = Some(p.bool_value()?),
@@ -784,11 +852,8 @@ pub fn generation_from_body(text: &str) -> Result<GenerationResult, WireError> {
         }
         Ok(())
     })?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(WireError::new(p.pos, "trailing characters after value"));
-    }
-    required(version, "v")?;
+    p.end()?;
+    check_version_value(version.as_ref())?;
     Ok(GenerationResult {
         witness: required(witness, "witness")?,
         level: required(level, "level")?,
@@ -798,33 +863,64 @@ pub fn generation_from_body(text: &str) -> Result<GenerationResult, WireError> {
     })
 }
 
-/// Decodes a `/generate` (or `/subscribe`) request body
-/// (`{"v": 1, "nodes": [..]}`) straight into its node list, bypassing the
-/// [`Json`] tree. Strict: exactly the envelope plus the one field, plain
-/// non-negative integers, nothing trailing. The serving layer uses this as
-/// the fast path and falls back to the tree decoder on any error so
-/// malformed bodies keep their established 400 messages.
-pub fn nodes_from_body(text: &str) -> Result<Vec<usize>, WireError> {
+/// Decodes the one field `key` of a versioned body `{"v": 1, ...}` with
+/// `decode`, straight from its text. Other top-level fields are skipped and
+/// a repeated key keeps its first value, as a [`Json`] tree lookup would.
+/// Errors come in the order of [`Checked`]; version errors are flagged
+/// [`WireError::bad_version`].
+fn versioned_field<T>(
+    text: &str,
+    key: &str,
+    mut decode: impl FnMut(&mut Parser<'_>) -> Checked<T>,
+) -> Result<T, WireError> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
     };
-    let mut version = None;
-    let mut nodes = None;
-    p.fields(|p, key| {
-        match key {
-            "v" => version = Some(p.version_value()?),
-            "nodes" => nodes = Some(p.usize_array()?),
-            other => return Err(WireError::decode(format!("unexpected field '{other}'"))),
-        }
-        Ok(())
-    })?;
+    let (mut version, mut field) = (None, None);
     p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(WireError::new(p.pos, "trailing characters after value"));
+    if p.peek() == Some(b'{') {
+        p.fields(|p, k| {
+            if k == "v" && version.is_none() {
+                version = Some(p.value(1)?);
+            } else if k == key && field.is_none() {
+                field = Some(decode(p)?);
+            } else {
+                p.value(1)?;
+            }
+            Ok(())
+        })?;
+    } else {
+        // Well-formed JSON that is not an object has no envelope.
+        p.value(0)?;
     }
-    required(version, "v")?;
-    required(nodes, "nodes")
+    p.end()?;
+    check_version_value(version.as_ref())?;
+    required(field, key)?
+}
+
+/// Decodes a `/generate` (or `/subscribe`) request body
+/// (`{"v": 1, "nodes": [..]}`) straight into its node list, bypassing the
+/// [`Json`] tree. Node ids follow [`Json::as_usize`]; malformed input
+/// errors, never panics.
+pub fn nodes_from_body(text: &str) -> Result<Vec<usize>, WireError> {
+    versioned_field(text, "nodes", |p| p.list(1, node_id))
+}
+
+/// Decodes a `/generate/batch` request body
+/// (`{"v": 1, "queries": [[..], ..]}`) into its node lists, under the same
+/// rules as [`nodes_from_body`].
+pub(crate) fn queries_from_body(text: &str) -> Result<Vec<Vec<usize>>, WireError> {
+    versioned_field(text, "queries", |p| {
+        p.list(1, |p, depth| p.list(depth, node_id))
+    })
+}
+
+/// Decodes a `/generate/batch` response body (see [`generations_to_body`]).
+pub(crate) fn generations_from_body(text: &str) -> Result<Vec<GenerationResult>, WireError> {
+    versioned_field(text, "results", |p| {
+        p.list(1, |p, _| p.generation_value().map(Ok))
+    })
 }
 
 pub(crate) fn push_usize_array(out: &mut String, xs: impl IntoIterator<Item = usize>) {
@@ -839,9 +935,7 @@ pub(crate) fn push_usize_array(out: &mut String, xs: impl IntoIterator<Item = us
 }
 
 /// Serializes a `/generate` response body straight to its wire text: the v1
-/// envelope wrapping a [`GenerationResult`]'s fields — byte-identical to
-/// `versioned(generation_to_json(r)).encode()` (pinned by a test) without
-/// building the tree.
+/// envelope wrapping a [`GenerationResult`]'s fields.
 pub fn generation_to_body(r: &GenerationResult) -> String {
     let mut out = String::with_capacity(
         200 + 8 * (r.witness.subgraph.nodes().len() + 2 * r.witness.test_nodes.len())
@@ -855,10 +949,29 @@ pub fn generation_to_body(r: &GenerationResult) -> String {
     out
 }
 
+/// Serializes a `/generate/batch` response body: the v1 envelope around
+/// `"results"`, one unversioned result object per query, in query order.
+pub(crate) fn generations_to_body(results: &[GenerationResult]) -> String {
+    let mut out = String::with_capacity(32 + 512 * results.len());
+    out.push_str("{\"v\":");
+    push_u64(&mut out, WIRE_VERSION);
+    out.push_str(",\"results\":[");
+    for (i, r) in results.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push('{');
+        push_generation_fields(&mut out, r);
+        out.push('}');
+    }
+    out.push_str("]}");
+    out
+}
+
 /// Writes a [`GenerationResult`]'s fields (`"witness":..,"level":..,..`,
-/// no surrounding braces, no envelope) — byte-identical to the interior of
-/// `generation_to_json(r).encode()`. Shared by [`generation_to_body`] and the
-/// subscription frame encoders, which nest the *unversioned* result object.
+/// no surrounding braces, no envelope). Shared by [`generation_to_body`],
+/// [`generations_to_body`] and the subscription frame encoders, which nest
+/// the *unversioned* result object.
 pub(crate) fn push_generation_fields(out: &mut String, r: &GenerationResult) {
     let w = &r.witness;
     out.push_str("\"witness\":{\"nodes\":");
@@ -922,10 +1035,6 @@ fn edges_from_json(value: &Json) -> Result<Vec<(NodeId, NodeId)>, WireError> {
         .collect()
 }
 
-fn usizes_from_json(value: &Json) -> Result<Vec<usize>, WireError> {
-    value.as_arr()?.iter().map(|x| x.as_usize()).collect()
-}
-
 /// Stable string form of a [`WitnessLevel`].
 pub fn level_to_str(level: WitnessLevel) -> &'static str {
     match level {
@@ -949,29 +1058,8 @@ pub fn level_from_str(s: &str) -> Result<WitnessLevel, WireError> {
     }
 }
 
-/// Encodes a [`Witness`]: explicit node and edge sets plus the test-node /
-/// label pairing.
-pub fn witness_to_json(w: &Witness) -> Json {
-    Json::obj([
-        ("nodes", Json::nums(w.subgraph.nodes().iter().copied())),
-        ("edges", edges_to_json(w.subgraph.edges().iter())),
-        ("test_nodes", Json::nums(w.test_nodes.iter().copied())),
-        ("labels", Json::nums(w.labels.iter().copied())),
-    ])
-}
-
-/// Decodes a [`Witness`].
-pub fn witness_from_json(value: &Json) -> Result<Witness, WireError> {
-    witness_from_parts(
-        usizes_from_json(value.field("nodes")?)?,
-        edges_from_json(value.field("edges")?)?,
-        usizes_from_json(value.field("test_nodes")?)?,
-        usizes_from_json(value.field("labels")?)?,
-    )
-}
-
-/// Shared assembly + validation behind both witness decoders (tree and
-/// direct), so they accept and reject exactly the same payloads.
+/// Assembles and validates a decoded [`Witness`]: test nodes pair with
+/// labels one to one, and no edge is a self-loop.
 fn witness_from_parts(
     nodes: Vec<usize>,
     edges: Vec<(usize, usize)>,
@@ -1163,28 +1251,6 @@ pub fn disturb_report_from_json(value: &Json) -> Result<DisturbReport, WireError
     })
 }
 
-/// Encodes a [`GenerationResult`].
-pub fn generation_to_json(r: &GenerationResult) -> Json {
-    Json::obj([
-        ("witness", witness_to_json(&r.witness)),
-        ("level", Json::Str(level_to_str(r.level).to_string())),
-        ("nontrivial", Json::Bool(r.nontrivial)),
-        ("stale", Json::Bool(r.stale)),
-        ("stats", generation_stats_to_json(&r.stats)),
-    ])
-}
-
-/// Decodes a [`GenerationResult`].
-pub fn generation_from_json(value: &Json) -> Result<GenerationResult, WireError> {
-    Ok(GenerationResult {
-        witness: witness_from_json(value.field("witness")?)?,
-        level: level_from_str(value.field("level")?.as_str()?)?,
-        nontrivial: value.field("nontrivial")?.as_bool()?,
-        stale: value.field("stale")?.as_bool()?,
-        stats: generation_stats_from_json(value.field("stats")?)?,
-    })
-}
-
 // ---------------------------------------------------------------------------
 // Structured errors
 // ---------------------------------------------------------------------------
@@ -1334,7 +1400,7 @@ pub fn frame_from_body(text: &str) -> Result<Frame, WireError> {
     let mut result = None;
     p.fields(|p, key| {
         match key {
-            "v" => version = Some(p.version_value()?),
+            "v" => version = Some(p.value(1)?),
             "frame" => {
                 kind = Some(match p.raw_str()? {
                     "subscribed" => false,
@@ -1354,11 +1420,8 @@ pub fn frame_from_body(text: &str) -> Result<Frame, WireError> {
         }
         Ok(())
     })?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(WireError::new(p.pos, "trailing characters after value"));
-    }
-    required(version, "v")?;
+    p.end()?;
+    check_version_value(version.as_ref())?;
     match required(kind, "frame")? {
         false => Ok(Frame::Subscribed {
             subscription: required(subscription, "subscription")?,
@@ -1468,22 +1531,24 @@ mod tests {
     }
 
     #[test]
-    fn direct_generation_codec_matches_the_tree_codec() {
+    fn direct_generation_codec_matches_the_golden_body() {
         let result = sample_generation();
-        // Same bytes out: the direct body is the v1 envelope around the
-        // (unversioned) tree encoding.
+        // The wire text itself is pinned: envelope first, fixed key order,
+        // integers without a fractional part.
         let body = generation_to_body(&result);
-        assert_eq!(body, versioned(generation_to_json(&result)).encode());
-        // ...and both decoders accept them, agreeing with each other: the
-        // direct parse re-encodes to the identical body.
+        assert_eq!(
+            body,
+            "{\"v\":1,\"witness\":{\"nodes\":[0,1,2,7,9],\"edges\":[[0,1],[1,2],[2,7]],\
+             \"test_nodes\":[0,7],\"labels\":[3,1]},\"level\":\"robust\",\"nontrivial\":true,\
+             \"stale\":false,\"stats\":{\"inference_calls\":12,\"disturbances_verified\":4,\
+             \"expand_rounds\":2,\"elapsed_us\":357}}"
+        );
+        // It is plain JSON: a general parser reads it, envelope included.
+        check_version(&Json::parse(&body).expect("tree parse")).expect("envelope");
+        // The direct decoder re-encodes what it read to the identical body.
         let direct = generation_from_body(&body).expect("direct parse");
         assert_eq!(generation_to_body(&direct), body);
-        let tree_value = Json::parse(&body).expect("tree parse");
-        check_version(&tree_value).expect("envelope");
-        let tree = generation_from_json(&tree_value).expect("decode");
-        assert_eq!(generation_to_body(&tree), body);
-        // Field order independence (a forward-compat guarantee the tree
-        // decoder already had).
+        // Field order independence.
         let shuffled = "{\"stale\":false,\"level\":\"robust\",\"nontrivial\":true,\
                         \"stats\":{\"elapsed_us\":357,\"expand_rounds\":2,\
                         \"disturbances_verified\":4,\"inference_calls\":12},\
@@ -1500,12 +1565,33 @@ mod tests {
         let future = body.replacen("{\"v\":1,", "{\"v\":2,", 1);
         let err = generation_from_body(&future).expect_err("future version");
         assert!(err.to_string().contains("unsupported wire version 2"));
+        assert!(err.bad_version);
         let err = check_version(&Json::parse(&future).unwrap()).expect_err("tree path");
         assert!(err.to_string().contains("unsupported wire version 2"));
+        assert!(err.bad_version);
         // A missing version is a missing-field error, not a silent default.
         let bare = body.replacen("{\"v\":1,", "{", 1);
         let err = generation_from_body(&bare).expect_err("missing version");
         assert!(err.to_string().contains("'v'"), "{err}");
+        assert!(err.bad_version);
+        // Request bodies: the envelope outranks the content, and only
+        // envelope errors carry the flag.
+        assert!(nodes_from_body("{\"nodes\":[-1]}").unwrap_err().bad_version);
+        assert!(
+            nodes_from_body("{\"v\":\"1\",\"nodes\":[1]}")
+                .unwrap_err()
+                .bad_version
+        );
+        assert!(
+            !nodes_from_body("{\"v\":1,\"nodes\":[-1]}")
+                .unwrap_err()
+                .bad_version
+        );
+        assert!(
+            !nodes_from_body("{\"v\":2,\"nodes\":[1,]}")
+                .unwrap_err()
+                .bad_version
+        );
         // check_version tolerates extra fields but not absence.
         assert!(check_version(&Json::obj([("x", Json::num(3u64))])).is_err());
         assert!(check_version(&versioned(Json::obj([("x", Json::num(3u64))]))).is_ok());
@@ -1594,6 +1680,48 @@ mod tests {
         assert!(frame_from_body(&line.replacen("witness_update", "mystery", 1)).is_err());
         assert!(frame_from_body(&line.replacen("\"repaired\"", "\"melted\"", 1)).is_err());
         assert!(frame_from_body(&line.replacen("{\"v\":1,", "{", 1)).is_err());
+    }
+
+    #[test]
+    fn batch_bodies_round_trip() {
+        let mut other = sample_generation();
+        other.level = WitnessLevel::Factual;
+        other.stale = true;
+        let results = vec![sample_generation(), other];
+        let body = generations_to_body(&results);
+        // Each result is a single answer's body without its envelope.
+        let fields = generation_to_body(&results[0]).replacen("{\"v\":1,", "", 1);
+        assert!(body.starts_with(&format!("{{\"v\":1,\"results\":[{{{fields},")));
+        let decoded = generations_from_body(&body).expect("batch decodes");
+        assert_eq!(decoded.len(), 2);
+        for (got, want) in decoded.iter().zip(&results) {
+            assert_eq!(generation_to_body(got), generation_to_body(want));
+        }
+        assert!(generations_from_body(&generations_to_body(&[]))
+            .expect("empty batch")
+            .is_empty());
+        for cut in 0..body.len() {
+            assert!(generations_from_body(&body[..cut]).is_err(), "cut at {cut}");
+        }
+        assert!(generations_from_body(&body.replacen("\"v\":1", "\"v\":2", 1)).is_err());
+
+        assert_eq!(
+            queries_from_body("{\"v\":1,\"queries\":[[3,1.0],[],[2e0]]}").expect("queries"),
+            vec![vec![3, 1], vec![], vec![2]]
+        );
+        for bad in [
+            "{\"v\":1,\"queries\":[[1],2]}",
+            "{\"v\":1,\"queries\":[[-1]]}",
+            "{\"v\":1,\"queries\":{}}",
+            "{\"v\":1}",
+        ] {
+            assert!(!queries_from_body(bad).expect_err(bad).bad_version, "{bad}");
+        }
+        assert!(
+            queries_from_body("{\"queries\":[[1]]}")
+                .unwrap_err()
+                .bad_version
+        );
     }
 
     #[test]

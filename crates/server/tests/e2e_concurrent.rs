@@ -119,10 +119,17 @@ fn concurrent_clients_get_coherent_answers_and_repairs() {
             .request("POST", "/generate", Some(&bad))
             .expect("request");
         assert_eq!(status, 400, "{body:?}");
-        let (status, _) = warmup.request("POST", "/nope", None).expect("request");
+        // Error bodies are structured: machine-readable code + retryable.
+        let (status, body) = warmup.request("POST", "/nope", None).expect("request");
         assert_eq!(status, 404);
-        let (status, _) = warmup.request("GET", "/generate", None).expect("request");
+        let error = wire::error_from_json(&body).expect("structured 404 body");
+        assert_eq!(error.code, "not_found");
+        assert!(!error.retryable);
+        let (status, body) = warmup.request("GET", "/generate", None).expect("request");
         assert_eq!(status, 405, "wrong method on a known route is 405, not 404");
+        let error = wire::error_from_json(&body).expect("structured 405 body");
+        assert_eq!(error.code, "method_not_allowed");
+        assert!(!error.retryable);
 
         warmup.shutdown().expect("shutdown");
         server_thread.join().expect("server thread")
@@ -163,131 +170,6 @@ fn shutdown_closes_other_kept_alive_connections() {
             .join()
             .expect("server exits despite a's open connection");
         assert!(report.requests_total() >= 3);
-    });
-}
-
-/// Reads one full `connection: close` HTTP response off a raw socket.
-fn raw_request(addr: &str, request: &str) -> String {
-    use std::io::{Read, Write};
-    let mut stream = std::net::TcpStream::connect(addr).expect("connect raw");
-    stream.write_all(request.as_bytes()).expect("write raw");
-    let mut reply = String::new();
-    stream.read_to_string(&mut reply).expect("read raw");
-    reply
-}
-
-#[test]
-fn deprecated_generate_batch_alias_matches_canonical_path() {
-    let ds = citeseer::build(Scale::Tiny, 8);
-    let appnp = ds.train_appnp(8, 8);
-    let engine = WitnessEngine::new(Arc::new(ds.graph.clone()), &appnp, quick_cfg());
-    let server = RcwServer::bind("127.0.0.1:0").expect("bind");
-    let addr = server.local_addr().to_string();
-    let queries = [ds.pick_test_nodes(2, 5), ds.pick_test_nodes(2, 11)];
-
-    std::thread::scope(|scope| {
-        let engine_ref = &engine;
-        let server_thread = scope.spawn(move || server.serve(engine_ref, 2).expect("serve"));
-
-        let body = wire::versioned(Json::obj([(
-            "queries",
-            Json::Arr(
-                queries
-                    .iter()
-                    .map(|nodes| Json::nums(nodes.iter().copied()))
-                    .collect(),
-            ),
-        )]));
-        let mut client = Client::connect(&addr).expect("connect");
-
-        // Batch equivalence: the deprecated spelling answers byte-identical
-        // results to the canonical path. Warm the store first — a cold call
-        // carries nonzero session stats (inference calls, elapsed time) that
-        // a warm hit does not, and those ride the response.
-        client
-            .request("POST", "/generate/batch", Some(&body))
-            .expect("warm the store");
-        let (status, canonical) = client
-            .request("POST", "/generate/batch", Some(&body))
-            .expect("canonical batch");
-        assert_eq!(status, 200);
-        let (status, legacy) = client
-            .request("POST", "/generate_batch", Some(&body))
-            .expect("legacy batch");
-        assert_eq!(status, 200);
-        assert_eq!(
-            canonical.encode(),
-            legacy.encode(),
-            "alias and canonical path answer identically"
-        );
-
-        // Only the deprecated spelling carries the Deprecation header.
-        let raw_body = body.encode();
-        let legacy_raw = raw_request(
-            &addr,
-            &format!(
-                "POST /generate_batch HTTP/1.1\r\nconnection: close\r\n\
-                 content-length: {}\r\n\r\n{raw_body}",
-                raw_body.len()
-            ),
-        );
-        assert!(legacy_raw.starts_with("HTTP/1.1 200"), "got: {legacy_raw}");
-        assert!(
-            legacy_raw.contains("deprecation: @0; successor=\"/generate/batch\""),
-            "legacy alias advertises its successor: {legacy_raw}"
-        );
-        let canonical_raw = raw_request(
-            &addr,
-            &format!(
-                "POST /generate/batch HTTP/1.1\r\nconnection: close\r\n\
-                 content-length: {}\r\n\r\n{raw_body}",
-                raw_body.len()
-            ),
-        );
-        assert!(canonical_raw.starts_with("HTTP/1.1 200"));
-        assert!(
-            !canonical_raw.contains("deprecation:"),
-            "canonical path is not deprecated: {canonical_raw}"
-        );
-
-        // Structured error bodies: machine-readable code + retryable flag.
-        let (status, body) = client.request("POST", "/nope", None).expect("404 probe");
-        assert_eq!(status, 404);
-        let error = wire::error_from_json(&body).expect("structured 404 body");
-        assert_eq!(error.code, "not_found");
-        assert!(!error.retryable);
-        let (status, body) = client.request("GET", "/generate", None).expect("405 probe");
-        assert_eq!(status, 405);
-        let error = wire::error_from_json(&body).expect("structured 405 body");
-        assert_eq!(error.code, "method_not_allowed");
-        assert!(!error.retryable);
-
-        // Version negotiation: missing and future "v" are typed rejections.
-        let unversioned = Json::obj([("nodes", Json::nums(queries[0].iter().copied()))]);
-        let (status, body) = client
-            .request("POST", "/generate", Some(&unversioned))
-            .expect("missing v");
-        assert_eq!(status, 400);
-        let error = wire::error_from_json(&body).expect("structured bad_version body");
-        assert_eq!(error.code, "bad_version");
-        let future = Json::obj([
-            ("v", Json::num(2u64)),
-            ("nodes", Json::nums(queries[0].iter().copied())),
-        ]);
-        let (status, body) = client
-            .request("POST", "/generate", Some(&future))
-            .expect("future v");
-        assert_eq!(status, 400);
-        let error = wire::error_from_json(&body).expect("structured future-version body");
-        assert_eq!(error.code, "bad_version");
-        assert!(
-            error.detail.contains("unsupported wire version 2"),
-            "detail names the offered version: {}",
-            error.detail
-        );
-
-        client.shutdown().expect("shutdown");
-        server_thread.join().expect("server thread");
     });
 }
 

@@ -2,17 +2,19 @@
 //! excess requests with `429` through the event loop's write path and
 //! rejects expired deadlines with `503`, both round-tripping through the
 //! blocking client as typed protocol errors, with exact request accounting
-//! in the final [`rcw_server::ServeReport`].
+//! in the final [`rcw_server::ServeReport`]. A peer that stalls mid-request
+//! (slowloris) gets `408` and loses its slot while others keep being served.
 
 use rcw_core::{RcwConfig, WitnessEngine};
 use rcw_datasets::{citeseer, Scale};
 use rcw_server::client::{Client, ClientError};
 use rcw_server::faults::FaultPlan;
+use rcw_server::wire::{self, Json};
 use rcw_server::{RcwServer, ServerConfig};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn quick_cfg() -> RcwConfig {
     RcwConfig {
@@ -228,6 +230,56 @@ fn default_deadline_rejects_with_503_and_stores_nothing() {
         client
             .shutdown()
             .expect("shutdown is exempt from deadlines");
+        server_thread.join().expect("server thread")
+    });
+}
+
+#[test]
+fn stalled_partial_request_gets_408_and_loses_its_slot() {
+    let ds = citeseer::build(Scale::Tiny, 14);
+    let appnp = ds.train_appnp(8, 14);
+    let engine = WitnessEngine::new(Arc::new(ds.graph.clone()), &appnp, quick_cfg());
+    let server = RcwServer::bind("127.0.0.1:0").expect("bind");
+    let addr = server.local_addr().to_string();
+    let io_timeout = Duration::from_millis(200);
+    let config = ServerConfig::single(&engine)
+        .with_workers(1)
+        .with_io_timeout(io_timeout);
+
+    std::thread::scope(|scope| {
+        let config_ref = &config;
+        let server_thread = scope.spawn(move || server.serve_config(config_ref).expect("serve"));
+
+        // Half a request head, then silence: the peer is mid-request, so
+        // this is a stall (408), not an idle keep-alive (silent drop).
+        let mut slow = TcpStream::connect(&addr).expect("connect slow peer");
+        let sent = Instant::now();
+        slow.write_all(b"POST /generate HTTP/1.1\r\ncontent-length: 24\r\n")
+            .expect("partial head");
+        slow.set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        let mut reply = String::new();
+        slow.read_to_string(&mut reply)
+            .expect("the server answers and closes");
+        let waited = sent.elapsed();
+        assert!(reply.starts_with("HTTP/1.1 408"), "got: {reply}");
+        let body = reply.split("\r\n\r\n").nth(1).expect("response body");
+        let error = wire::error_from_json(&Json::parse(body.trim_end()).expect("json body"))
+            .expect("structured 408 body");
+        assert_eq!(error.code, "timeout");
+        assert!(error.retryable);
+        // The stall bound is 2 × io_timeout from the first byte; the timeout
+        // sweep runs every few tens of milliseconds, so the second is slack
+        // for a loaded machine, not for the server.
+        assert!(
+            waited >= 2 * io_timeout && waited < 2 * io_timeout + Duration::from_secs(1),
+            "408 after {waited:?} with io_timeout {io_timeout:?}"
+        );
+
+        // The slot is gone, the server is not: a fresh client is served.
+        let mut client = Client::connect(&addr).expect("connect");
+        client.healthz().expect("healthz after the stall");
+        client.shutdown().expect("shutdown");
         server_thread.join().expect("server thread")
     });
 }

@@ -32,10 +32,16 @@ fn fuzz_seeds() -> Vec<u64> {
 /// never panic) so one loop drives every wire type.
 type DecodeErrs = fn(&Json) -> bool;
 
-/// One valid encoding per wire type, paired with its decoder.
+/// One valid encoding per wire type, paired with its decoder. Witnesses and
+/// generation results decode through the direct body codec they travel in;
+/// a witness is decoded inside an otherwise valid `/generate` body.
 fn corpus() -> Vec<(String, DecodeErrs)> {
     fn decode_witness(v: &Json) -> bool {
-        wire::witness_from_json(v).is_err()
+        let body = format!(
+            r#"{{"v":1,"witness":{},"level":"robust","nontrivial":true,"stale":false,"stats":{{"inference_calls":0,"disturbances_verified":0,"expand_rounds":0,"elapsed_us":0}}}}"#,
+            v.encode()
+        );
+        wire::generation_from_body(&body).is_err()
     }
     fn decode_disturbance(v: &Json) -> bool {
         wire::disturbance_from_json(v).is_err()
@@ -50,7 +56,7 @@ fn corpus() -> Vec<(String, DecodeErrs)> {
         wire::disturb_report_from_json(v).is_err()
     }
     fn decode_generation(v: &Json) -> bool {
-        wire::generation_from_json(v).is_err()
+        wire::generation_from_body(&v.encode()).is_err()
     }
 
     let witness = Witness::new(
@@ -100,14 +106,20 @@ fn corpus() -> Vec<(String, DecodeErrs)> {
         entries: Vec::new(),
     };
     let generation = GenerationResult {
-        witness: witness.clone(),
+        witness,
         level: WitnessLevel::Robust,
         nontrivial: true,
         stale: true,
         stats: GenerationStats::default(),
     };
+    let generation_body = wire::generation_to_body(&generation);
+    let witness_object = Json::parse(&generation_body)
+        .expect("generation body is JSON")
+        .field("witness")
+        .expect("witness field")
+        .encode();
     vec![
-        (wire::witness_to_json(&witness).encode(), decode_witness),
+        (witness_object, decode_witness),
         (
             wire::disturbance_to_json(&Disturbance::from_pairs([(5, 2), (7, 9), (0, 3)])).encode(),
             decode_disturbance,
@@ -118,10 +130,7 @@ fn corpus() -> Vec<(String, DecodeErrs)> {
             wire::disturb_report_to_json(&report).encode(),
             decode_report,
         ),
-        (
-            wire::generation_to_json(&generation).encode(),
-            decode_generation,
-        ),
+        (generation_body, decode_generation),
     ]
 }
 
@@ -193,7 +202,8 @@ fn corrupted_payloads_error_and_never_panic() {
 
 /// Raw-body (zero-tree) decoders run straight off the byte stream, so the
 /// corruption sweep hits them without the `Json::parse` pre-filter: the v1
-/// envelope bodies and the NDJSON subscription frames.
+/// envelope bodies (the `/generate` request included) and the NDJSON
+/// subscription frames.
 #[test]
 fn corrupted_raw_bodies_error_and_never_panic() {
     type RawDecodeErrs = fn(&str) -> bool;
@@ -202,6 +212,9 @@ fn corrupted_raw_bodies_error_and_never_panic() {
     }
     fn decode_frame(text: &str) -> bool {
         wire::frame_from_body(text).is_err()
+    }
+    fn decode_nodes(text: &str) -> bool {
+        wire::nodes_from_body(text).is_err()
     }
     fn decode_error_body(text: &str) -> bool {
         match Json::parse(text) {
@@ -241,6 +254,10 @@ fn corrupted_raw_bodies_error_and_never_panic() {
         (
             wire::error_to_body("overloaded", "queue full", true),
             decode_error_body,
+        ),
+        (
+            r#"{"v":1,"nodes":[3,1.0,4],"trace":{"id":"a\u0062"}}"#.to_string(),
+            decode_nodes,
         ),
     ];
     let mut failures: Vec<String> = Vec::new();

@@ -1,6 +1,9 @@
 //! Wire-codec sweep: every domain type round-trips through its JSON encoding
 //! byte-for-byte (encode → parse → decode → re-encode), and the decoders
-//! reject malformed payloads with errors rather than panics.
+//! reject malformed payloads with errors rather than panics. Witnesses and
+//! generation results go through the direct body codec they travel in
+//! (`generation_to_body` / `generation_from_body`); the control types go
+//! through the `Json` tree.
 
 use rcw_core::{
     DisturbReport, EngineSnapshot, EngineStats, GenerationResult, GenerationStats, Witness,
@@ -26,14 +29,33 @@ fn witness_cases() -> Vec<Witness> {
     ]
 }
 
+/// A result carrying `witness`: witnesses cross the wire only inside
+/// generation results.
+fn carrying(witness: Witness) -> GenerationResult {
+    GenerationResult {
+        witness,
+        level: WitnessLevel::Robust,
+        nontrivial: true,
+        stale: false,
+        stats: GenerationStats::default(),
+    }
+}
+
+/// An otherwise valid `/generate` response body around a witness object.
+fn body_with_witness(witness: &str) -> String {
+    format!(
+        r#"{{"v":1,"witness":{witness},"level":"robust","nontrivial":true,"stale":false,"stats":{{"inference_calls":0,"disturbances_verified":0,"expand_rounds":0,"elapsed_us":0}}}}"#
+    )
+}
+
 #[test]
 fn witness_round_trips() {
     for w in witness_cases() {
-        let encoded = wire::witness_to_json(&w).encode();
-        let decoded = wire::witness_from_json(&Json::parse(&encoded).unwrap()).unwrap();
-        assert_eq!(decoded, w, "{encoded}");
+        let encoded = wire::generation_to_body(&carrying(w.clone()));
+        let decoded = wire::generation_from_body(&encoded).unwrap();
+        assert_eq!(decoded.witness, w, "{encoded}");
         // stability: re-encoding the decoded value is byte-identical
-        assert_eq!(wire::witness_to_json(&decoded).encode(), encoded);
+        assert_eq!(wire::generation_to_body(&decoded), encoded);
     }
 }
 
@@ -130,13 +152,13 @@ fn disturb_report_and_generation_result_round_trip() {
             stale: level == WitnessLevel::Factual,
             stats: GenerationStats::default(),
         };
-        let encoded = wire::generation_to_json(&result).encode();
-        let decoded = wire::generation_from_json(&Json::parse(&encoded).unwrap()).unwrap();
+        let encoded = wire::generation_to_body(&result);
+        let decoded = wire::generation_from_body(&encoded).unwrap();
         assert_eq!(decoded.witness, result.witness);
         assert_eq!(decoded.level, result.level);
         assert_eq!(decoded.nontrivial, result.nontrivial);
         assert_eq!(decoded.stale, result.stale);
-        assert_eq!(wire::generation_to_json(&decoded).encode(), encoded);
+        assert_eq!(wire::generation_to_body(&decoded), encoded);
     }
 }
 
@@ -188,9 +210,14 @@ fn malformed_domain_payloads_are_rejected() {
         ),
     ];
     for (payload, what) in cases {
-        let parsed = Json::parse(payload).unwrap();
-        assert!(wire::witness_from_json(&parsed).is_err(), "{what}");
+        let body = body_with_witness(payload);
+        assert!(Json::parse(&body).is_ok(), "{what}: well-formed JSON");
+        assert!(wire::generation_from_body(&body).is_err(), "{what}");
     }
+    // The carrier is valid around a valid witness: each case fails on its
+    // witness alone.
+    let valid = r#"{"nodes":[],"edges":[],"test_nodes":[],"labels":[]}"#;
+    assert!(wire::generation_from_body(&body_with_witness(valid)).is_ok());
 
     assert!(wire::disturbance_from_json(&Json::parse("{}").unwrap()).is_err());
     assert!(
@@ -206,16 +233,13 @@ fn malformed_domain_payloads_are_rejected() {
     assert!(wire::engine_stats_from_json(&Json::parse(r#"{"queries":"many"}"#).unwrap()).is_err());
     assert!(wire::snapshot_from_json(&Json::parse(r#"{"stored":1}"#).unwrap()).is_err());
     assert!(wire::disturb_report_from_json(&Json::parse(r#"{"epoch":1}"#).unwrap()).is_err());
-    assert!(wire::generation_from_json(
-        &Json::parse(r#"{"witness":{},"level":"robust","nontrivial":true}"#).unwrap()
+    assert!(wire::generation_from_body(
+        r#"{"v":1,"witness":{},"level":"robust","nontrivial":true}"#
     )
     .is_err());
     assert!(
-        wire::generation_from_json(
-            &Json::parse(
-                r#"{"witness":{"nodes":[],"edges":[],"test_nodes":[],"labels":[]},"level":"extra-robust","nontrivial":true,"stats":{"inference_calls":0,"disturbances_verified":0,"expand_rounds":0,"elapsed_us":0}}"#
-            )
-            .unwrap()
+        wire::generation_from_body(
+            r#"{"v":1,"witness":{"nodes":[],"edges":[],"test_nodes":[],"labels":[]},"level":"extra-robust","nontrivial":true,"stale":false,"stats":{"inference_calls":0,"disturbances_verified":0,"expand_rounds":0,"elapsed_us":0}}"#
         )
         .is_err(),
         "unknown level string"
