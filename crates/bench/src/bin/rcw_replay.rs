@@ -186,7 +186,8 @@ fn main() {
                     }
                     // Rebase epochs on the ack so the digest is comparable
                     // across runs (the engine epoch is a process-global
-                    // clock; only the deltas are a function of the stream).
+                    // clock; only the order of epochs is a function of the
+                    // stream).
                     rebase_epochs(base_epoch, &mut updates);
                     Some((nodes, updates))
                 })

@@ -12,6 +12,7 @@
 use rcw_graph::Graph;
 use rcw_linalg::Rng;
 use rcw_server::wire::{self, WitnessUpdate};
+use std::collections::BTreeSet;
 use std::time::Duration;
 
 /// One timed event in a replay stream: a set of edge flips to POST as a
@@ -107,12 +108,21 @@ pub fn sequence_digest<'a>(updates: impl IntoIterator<Item = &'a WitnessUpdate>)
     h.finish()
 }
 
-/// Rewrites each update's epoch relative to `base` (normally the
-/// subscription ack's epoch). Epoch *deltas* are deterministic per stream;
-/// the absolute values are positions on a process-global clock.
+/// Rewrites each update's epoch as its rank among the distinct epochs of the
+/// stream after `base` (normally the subscription ack's epoch): the ack is 0,
+/// the first later epoch 1, and so on; an epoch at or before `base` becomes
+/// 0. The engine epoch is a process-global clock that anything else in the
+/// process also advances (another engine, a graph built on another thread),
+/// so neither absolute epochs nor their differences repeat across runs —
+/// only their order does.
 pub fn rebase_epochs(base: u64, updates: &mut [WitnessUpdate]) {
+    let later: BTreeSet<u64> = updates
+        .iter()
+        .map(|u| u.epoch)
+        .filter(|&e| e > base)
+        .collect();
     for update in updates {
-        update.epoch = update.epoch.saturating_sub(base);
+        update.epoch = later.range(..=update.epoch).count() as u64;
     }
 }
 
@@ -185,6 +195,38 @@ mod tests {
                 assert!(u < v && v < 16, "flips are normalized graph edges");
             }
         }
+    }
+
+    #[test]
+    fn rebased_epochs_are_ranks_after_the_base() {
+        use rcw_core::{GenerationResult, GenerationStats, RepairOutcome, Witness, WitnessLevel};
+        let update = |epoch| WitnessUpdate {
+            subscription: 1,
+            disturbance: 1,
+            outcome: RepairOutcome::Reverified,
+            epoch,
+            result: GenerationResult {
+                witness: Witness::new(Default::default(), vec![0], vec![0]),
+                level: WitnessLevel::Factual,
+                nontrivial: false,
+                stale: false,
+                stats: GenerationStats::default(),
+            },
+        };
+        let rebased = |base, epochs: &[u64]| {
+            let mut updates: Vec<WitnessUpdate> = epochs.iter().map(|&e| update(e)).collect();
+            rebase_epochs(base, &mut updates);
+            updates.iter().map(|u| u.epoch).collect::<Vec<u64>>()
+        };
+        // Two runs of one stream whose epochs other clock users spaced
+        // differently rebase identically.
+        assert_eq!(rebased(7, &[12, 12, 40]), [1, 1, 2]);
+        assert_eq!(rebased(100, &[101, 101, 102]), [1, 1, 2]);
+        assert_eq!(
+            rebased(7, &[5, 7, 9]),
+            [0, 0, 1],
+            "at or before the base is 0"
+        );
     }
 
     #[test]

@@ -5,9 +5,13 @@
 //! This is the property that makes the replay harness (`rcw_replay`) usable
 //! as a regression oracle: a subscriber's [`sequence_digest`] is a pure
 //! function of (dataset seed, plan seed, stream shape), because repaired
-//! entries are captured under the store lock with zeroed per-request stats
-//! and every other frame field (subscription id, disturbance id, epoch,
-//! witness) is deterministic given the same request order.
+//! entries are built under the engine's writer lock from the exact state it
+//! then publishes, with zeroed per-request stats, and every other frame
+//! field (subscription id, disturbance id, rebased epoch, witness) is
+//! deterministic given the same request order. Epochs are rebased to their
+//! rank in the stream: the engine epoch is a process-global clock that
+//! other tests in this binary advance concurrently, so raw epochs and their
+//! differences vary between runs.
 
 use rcw_bench::replay::{rebase_epochs, sequence_digest, ReplayPlan};
 use rcw_core::{RcwConfig, WitnessEngine};
@@ -34,9 +38,10 @@ fn quick_cfg() -> RcwConfig {
 
 /// One full run: build the dataset and engine from `SEED`, subscribe a
 /// single stream, fire the plan's events sequentially, then drain the
-/// stream to the end. Epochs are rebased against the subscription ack —
-/// the engine epoch is a process-global clock, so only the deltas are a
-/// function of the stream. Returns `(frames, digest, encoded frames)`.
+/// stream to the end. Epochs are rebased to their rank after the
+/// subscription ack — the engine epoch is a process-global clock, so only
+/// their order is a function of the stream. Returns `(frames, digest,
+/// encoded frames)`.
 fn run_stream(plan: &ReplayPlan, extra: &[(usize, usize)]) -> (u64, u64, Vec<String>) {
     let ds = citeseer::build(Scale::Tiny, SEED);
     let appnp = ds.train_appnp(8, SEED);

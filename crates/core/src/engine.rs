@@ -13,11 +13,14 @@
 //!    scratch, owned by [`crate::session`] runs — repeated
 //!    [`WitnessEngine::generate`] calls pay only query-proportional work.
 //! 3. **Mutation epochs**: [`WitnessEngine::disturb`] applies edge flips to
-//!    the host graph (copy-on-write through the `Arc`), advances the graph's
-//!    epoch, invalidates only the cache entries whose k-hop footprint
-//!    intersects the disturbed region, and *repairs* the stored witnesses —
+//!    a private clone of the host graph, advances the graph's epoch,
+//!    invalidates only the cache entries whose k-hop footprint intersects the
+//!    disturbed region, and *repairs* a copy of the stored witnesses —
 //!    re-verifying each under the new graph and re-entering the search,
-//!    seeded from the old witness, only for queries whose witness fails.
+//!    seeded from the old witness, only for queries whose witness fails. The
+//!    new graph and the repaired store are then published together in one
+//!    short critical section, so queries keep answering from the
+//!    pre-disturbance state while the sweep runs.
 //!
 //! The one-shot drivers [`crate::RoboGExp`] / [`crate::ParaRoboGExp`] are
 //! thin wrappers running the same session code over a private cache instance,
@@ -37,7 +40,7 @@ use rcw_graph::{
 use rcw_linalg::Matrix;
 use rcw_pagerank::PprCache;
 use std::collections::{BTreeMap, BTreeSet};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::time::{Duration, Instant};
 
@@ -228,6 +231,17 @@ impl EngineCaches {
         // APPNP local logits depend only on features; their feature-epoch key
         // already ignores edge flips, so there is nothing to invalidate here.
     }
+
+    /// Forgets every structure-keyed entry (PPR rows, neighborhoods, the
+    /// partition), as after construction. A disturbance that unwinds before
+    /// publishing calls this: it already advanced the caches to a graph
+    /// nobody will serve, and the next [`EngineCaches::apply_disturbance`]
+    /// would otherwise carry rows computed on that graph forward.
+    fn reset(&self) {
+        self.ppr.clear();
+        lock_recover(&self.hoods).entries.clear();
+        *lock_recover(&self.partition) = None;
+    }
 }
 
 /// A witness the engine keeps for repair, tagged with the epoch it was last
@@ -369,9 +383,10 @@ impl RepairOutcome {
 
 /// Per-entry outcome of a [`WitnessEngine::disturb`] sweep, carrying the
 /// exact result a warm [`WitnessEngine::generate`] for `test_nodes` returns
-/// at the post-sweep epoch. It is built inside the sweep, under the store
-/// lock, so a subscription layer can push it without racing a later
-/// disturbance — bit-exactness with a fresh query is by construction.
+/// at the post-sweep epoch. It is built inside the sweep, under the writer
+/// lock, from the exact state that is then published atomically, so a
+/// subscription layer can push it without racing a later disturbance —
+/// bit-exactness with a fresh query is by construction.
 #[derive(Clone, Debug)]
 pub struct EntryRepair {
     /// The canonical (sorted, deduplicated) store key of the entry.
@@ -421,10 +436,12 @@ pub struct DisturbReport {
 /// Every entry point takes `&self`: the store, the counters, and the host
 /// graph sit behind their own locks, so one engine instance can be shared
 /// across a serving layer's worker threads (`WitnessEngine` is `Sync`).
-/// Queries snapshot the `Arc`'d graph and run lock-free; `disturb` swaps the
-/// graph copy-on-write and repairs the store while holding the store lock, so
-/// concurrent queries observe either the pre- or the post-disturbance state,
-/// never a half-repaired one.
+/// Queries snapshot the `Arc`'d graph and run lock-free. `disturb` calls are
+/// serialized by a writer lock; each repairs a private copy of the store with
+/// no store lock held and then publishes the new graph and the repaired
+/// entries under one short store-lock critical section, so concurrent queries
+/// observe either the complete pre- or the complete post-disturbance state,
+/// never a half-repaired one, and warm hits keep answering during a sweep.
 ///
 /// ```
 /// use rcw_core::{RcwConfig, WitnessEngine};
@@ -463,6 +480,8 @@ pub struct WitnessEngine<'m, M: VerifiableModel + ?Sized = dyn GnnModel> {
     caches: EngineCaches,
     store: Mutex<BTreeMap<Vec<NodeId>, StoredWitness>>,
     stats: Mutex<EngineStats>,
+    /// Serializes `disturb` calls; readers never take it.
+    writer: Mutex<()>,
     fault_hook: Option<EngineFaultHook>,
     repair_budget: Option<Duration>,
 }
@@ -483,6 +502,7 @@ impl<'m, M: VerifiableModel + ?Sized> WitnessEngine<'m, M> {
             caches,
             store: Mutex::new(BTreeMap::new()),
             stats: Mutex::new(EngineStats::default()),
+            writer: Mutex::new(()),
             fault_hook: None,
             repair_budget: None,
         }
@@ -499,7 +519,7 @@ impl<'m, M: VerifiableModel + ?Sized> WitnessEngine<'m, M> {
     /// Bounds the per-witness work of a `disturb` repair sweep: both the
     /// seeded re-search and the regeneration fallback run under a
     /// [`SessionBudget`] of this duration, so one pathological witness cannot
-    /// stall the sweep (and with it every queued query) indefinitely. A
+    /// stall the sweep (and with it every later disturbance) indefinitely. A
     /// witness whose repair *and* regeneration both trip the budget is left
     /// stale and served degraded until a later query heals it.
     pub fn with_repair_budget(mut self, budget: Duration) -> Self {
@@ -654,8 +674,8 @@ impl<'m, M: VerifiableModel + ?Sized> WitnessEngine<'m, M> {
             Cold(Option<rcw_graph::EdgeSubgraph>),
         }
         // Graph and store are read together under the store lock so a
-        // concurrent `disturb` (which holds it while swapping the graph and
-        // repairing) cannot interleave a half-updated pair.
+        // concurrent `disturb` (which swaps the graph and publishes the
+        // repaired entries under it) cannot interleave a half-updated pair.
         let (graph, epoch, probe) = {
             let store = lock_recover(&self.store);
             let graph = self.graph_snapshot();
@@ -841,68 +861,44 @@ impl<'m, M: VerifiableModel + ?Sized> WitnessEngine<'m, M> {
             .collect()
     }
 
-    /// Applies a batch of disturbances to the host graph (copy-on-write),
-    /// advances the mutation epoch, invalidates only the caches whose k-hop
-    /// footprint intersects the disturbed region, and repairs every stored
-    /// witness: re-verify under the new graph; only witnesses that fail
-    /// re-enter the search, seeded from their old subgraph. A failed seeded
-    /// search (panic, tripped repair budget, or injected fault) falls back to
-    /// regeneration from scratch, and if that fails too the entry is kept
-    /// stale — served tagged `stale: true` until a later query heals it —
-    /// so a disturbance sweep never erases answers or takes the engine down.
+    /// Applies a batch of disturbances to the host graph, advances the
+    /// mutation epoch, invalidates only the caches whose k-hop footprint
+    /// intersects the disturbed region, and repairs every stored witness:
+    /// re-verify under the new graph; only witnesses that fail re-enter the
+    /// search, seeded from their old subgraph. A failed seeded search (panic,
+    /// tripped repair budget, or injected fault) falls back to regeneration
+    /// from scratch, and if that fails too the entry is kept stale — served
+    /// tagged `stale: true` until a later query heals it — so a disturbance
+    /// sweep never erases answers or takes the engine down.
+    ///
+    /// The flips land on a private clone of the graph and the sweep repairs a
+    /// private copy of the store with no store lock held. The new graph, the
+    /// repaired entries and the repair counters are then published in one
+    /// store-lock critical section. If the sweep unwinds, nothing is
+    /// published: the engine keeps its pre-disturbance graph and store.
     pub fn disturb(&self, disturbances: &[Disturbance]) -> DisturbReport {
-        // The store lock is held for the whole call, making the graph swap +
-        // repair sweep one atomic step from a query's point of view: queries
-        // already past the store check finish on their pre-disturbance
-        // snapshot, while new queries — warm hits included — block on the
-        // store lock until the sweep completes and then see the repaired
-        // store. Disturbances therefore pause the query stream for the sweep
-        // duration; that latency cliff is the price of never serving a
-        // half-repaired store.
-        let mut store = lock_recover(&self.store);
-        let mut touched: BTreeSet<NodeId> = BTreeSet::new();
-        let mut flips_applied = 0usize;
-        let (graph, old_epoch): (Arc<Graph>, u64) = {
-            let mut guard = self.graph.write().unwrap_or_else(|e| e.into_inner());
-            let old_epoch = guard.epoch();
-            // A valid pair (distinct, existing endpoints) always toggles, so
-            // this test is exactly "will any flip apply" — and when none
-            // will, the copy-on-write clone below is skipped entirely (a
-            // served engine always has snapshot `Arc`s outstanding, so
-            // `make_mut` would deep-copy the host graph on every no-op).
-            let any_valid = disturbances.iter().any(|d| {
-                d.pairs()
-                    .iter()
-                    .any(|(u, v)| u != v && guard.contains_node(u) && guard.contains_node(v))
-            });
-            if any_valid {
-                // Copy-on-write: snapshots handed to in-flight queries keep
-                // the old graph; the engine's slot gets the flipped clone.
-                let graph = Arc::make_mut(&mut guard);
-                for d in disturbances {
-                    let pairs = d.pairs().to_vec();
-                    flips_applied += graph.flip_edges_in_place(&pairs);
-                    touched.extend(
-                        d.touched_nodes()
-                            .into_iter()
-                            .filter(|&v| graph.contains_node(v)),
-                    );
-                }
-            }
-            (Arc::clone(&guard), old_epoch)
-        };
-        {
-            let mut stats = lock_recover(&self.stats);
-            stats.flips_applied += flips_applied;
-        }
-        let epoch = graph.epoch();
-        if flips_applied == 0 {
-            // Nothing changed structurally (all pairs invalid): the epoch did
-            // not move, every cache stays live, stored witnesses stay valid.
+        // One writer at a time: each disturbance applies against the graph
+        // the previous one published. Readers never take this lock; they
+        // keep answering from the complete pre-disturbance (graph, store)
+        // pair until the publish below swaps both at once.
+        let _writer = lock_recover(&self.writer);
+        let current = self.graph_snapshot();
+        // A valid pair (distinct, existing endpoints) always toggles, so
+        // this test is exactly "will any flip apply" — and when none will,
+        // the graph clone below is skipped entirely.
+        let any_valid = disturbances.iter().any(|d| {
+            d.pairs()
+                .iter()
+                .any(|(u, v)| u != v && current.contains_node(u) && current.contains_node(v))
+        });
+        if !any_valid {
+            // Nothing changed structurally: the epoch did not move, every
+            // cache stays live, stored witnesses stay valid.
+            let store = lock_recover(&self.store);
             lock_recover(&self.stats).repairs_skipped += store.len();
             return DisturbReport {
-                epoch,
-                flips_applied,
+                epoch: current.epoch(),
+                flips_applied: 0,
                 footprint_size: 0,
                 untouched: store.len(),
                 reverified: 0,
@@ -913,6 +909,67 @@ impl<'m, M: VerifiableModel + ?Sized> WitnessEngine<'m, M> {
                 entries: Vec::new(),
             };
         }
+        // Counters are tallied privately and folded in at publish, so no
+        // reader sees repair counts for an epoch it cannot yet observe.
+        let mut tally = EngineStats::default();
+        let mut touched: BTreeSet<NodeId> = BTreeSet::new();
+        let mut next = Graph::clone(&current);
+        for d in disturbances {
+            tally.flips_applied += next.flip_edges_in_place(&d.pairs().to_vec());
+            touched.extend(
+                d.touched_nodes()
+                    .into_iter()
+                    .filter(|&v| next.contains_node(v)),
+            );
+        }
+        let graph = Arc::new(next);
+        let mut entries = lock_recover(&self.store).clone();
+        let swept = catch_unwind(AssertUnwindSafe(|| {
+            self.repair_sweep(
+                &graph,
+                current.epoch(),
+                &touched,
+                disturbances,
+                &mut entries,
+                &mut tally,
+            )
+        }));
+        let report = match swept {
+            Ok(report) => report,
+            Err(panic) => {
+                // Nothing is published, but the caches already advanced to
+                // an epoch no reader will ever see: drop them so they refill
+                // from the graph the engine still serves.
+                self.caches.reset();
+                resume_unwind(panic)
+            }
+        };
+        // Publish: graph, entries and counters change together under the
+        // store lock, so a query or `snapshot()` sees all of the
+        // post-disturbance state or none of it. Keys a concurrent cold query
+        // inserted during the sweep are not in the copy and stay at their
+        // old epoch; the repair-on-read path in `generate` handles them.
+        let mut store = lock_recover(&self.store);
+        *self.graph.write().unwrap_or_else(|e| e.into_inner()) = graph;
+        store.extend(entries);
+        lock_recover(&self.stats).absorb(&tally);
+        report
+    }
+
+    /// The repair half of [`WitnessEngine::disturb`]: advances the caches to
+    /// `graph`'s epoch and repairs `entries` (a private copy of the store)
+    /// in place, adding the repair counters to `tally`. Runs with no store
+    /// lock held; the caller publishes the result.
+    fn repair_sweep(
+        &self,
+        graph: &Arc<Graph>,
+        old_epoch: u64,
+        touched: &BTreeSet<NodeId>,
+        disturbances: &[Disturbance],
+        entries: &mut BTreeMap<Vec<NodeId>, StoredWitness>,
+        tally: &mut EngineStats,
+    ) -> DisturbReport {
+        let epoch = graph.epoch();
         // The footprint radius covers both what the model can see (receptive
         // field) and what the verifier may flip (candidate neighborhood).
         let radius = self
@@ -920,13 +977,13 @@ impl<'m, M: VerifiableModel + ?Sized> WitnessEngine<'m, M> {
             .as_gnn()
             .receptive_hops()
             .max(self.cfg.candidate_hops);
-        let footprint = disturbance_footprint(&graph, disturbances, radius);
+        let footprint = disturbance_footprint(graph, disturbances, radius);
         self.caches
-            .apply_disturbance(&graph, old_epoch, &touched, &footprint);
+            .apply_disturbance(graph, old_epoch, touched, &footprint);
 
         let mut report = DisturbReport {
             epoch,
-            flips_applied,
+            flips_applied: tally.flips_applied,
             footprint_size: footprint.len(),
             untouched: 0,
             reverified: 0,
@@ -938,13 +995,11 @@ impl<'m, M: VerifiableModel + ?Sized> WitnessEngine<'m, M> {
         };
 
         let repair_start = Instant::now();
-        let keys: Vec<Vec<NodeId>> = store.keys().cloned().collect();
-        for key in keys {
-            let mut stored = store.remove(&key).expect("key just listed");
+        for (key, stored) in entries.iter_mut() {
             // Witnesses whose candidate region the disturbance cannot reach
             // keep their verification verdict (up to the verifier's own
             // truncation): skip them entirely.
-            let hood = self.caches.hood(&graph, &stored.witness.test_nodes, radius);
+            let hood = self.caches.hood(graph, &stored.witness.test_nodes, radius);
             let edge_touched = stored
                 .witness
                 .edges()
@@ -956,8 +1011,7 @@ impl<'m, M: VerifiableModel + ?Sized> WitnessEngine<'m, M> {
                 // older graph, so only a successful repair may clear it.
                 stored.epoch = epoch;
                 report.untouched += 1;
-                lock_recover(&self.stats).repairs_skipped += 1;
-                store.insert(key, stored);
+                tally.repairs_skipped += 1;
                 continue;
             }
 
@@ -967,14 +1021,14 @@ impl<'m, M: VerifiableModel + ?Sized> WitnessEngine<'m, M> {
             // repair budget inside either search step degrades the same way
             // a forced fault does.
             let test_nodes = stored.witness.test_nodes.clone();
-            let mut repaired: Option<(GenerationResult, &'static str)> = None;
+            let mut repaired: Option<(GenerationResult, RepairOutcome)> = None;
             if !self.fault_fires(FAULT_SITE_REPAIR) {
                 // Prune pairs the disturbance removed — the same rule the
                 // seeded session applies, so re-verify and seeded re-search
                 // start from the identical subgraph — and refresh the labels.
                 let pruned =
-                    session::seeded_subgraph(&graph, &test_nodes, Some(&stored.witness.subgraph));
-                let full = GraphView::full(&graph);
+                    session::seeded_subgraph(graph, &test_nodes, Some(&stored.witness.subgraph));
+                let full = GraphView::full(graph);
                 let gnn = self.model.as_gnn();
                 report.stats.inference_calls += test_nodes.len();
                 let labels: Vec<usize> = gnn
@@ -983,7 +1037,7 @@ impl<'m, M: VerifiableModel + ?Sized> WitnessEngine<'m, M> {
                 let witness = Witness::new(pruned, test_nodes.clone(), labels);
                 let outcome =
                     self.model
-                        .verify_rcw_shared(&graph, &witness, &self.cfg, &self.caches);
+                        .verify_rcw_shared(graph, &witness, &self.cfg, &self.caches);
                 report.stats.inference_calls += outcome.inference_calls;
                 report.stats.disturbances_verified += outcome.disturbances_checked;
                 if outcome.level.rank() >= stored.level.rank() {
@@ -992,13 +1046,12 @@ impl<'m, M: VerifiableModel + ?Sized> WitnessEngine<'m, M> {
                     stored.epoch = epoch;
                     stored.stale = false;
                     report.reverified += 1;
-                    lock_recover(&self.stats).repairs_reverified += 1;
+                    tally.repairs_reverified += 1;
                     report.entries.push(EntryRepair {
                         test_nodes: key.clone(),
                         outcome: RepairOutcome::Reverified,
-                        result: warm_equivalent(&graph, &key, &stored),
+                        result: warm_equivalent(graph, key, stored),
                     });
-                    store.insert(key, stored);
                     continue;
                 }
 
@@ -1007,7 +1060,7 @@ impl<'m, M: VerifiableModel + ?Sized> WitnessEngine<'m, M> {
                 // localized checks and only the broken parts are rebuilt.
                 repaired = catch_unwind(AssertUnwindSafe(|| {
                     self.run_session(
-                        &graph,
+                        graph,
                         &test_nodes,
                         Some(&witness.subgraph),
                         &self.repair_session_budget(),
@@ -1015,45 +1068,38 @@ impl<'m, M: VerifiableModel + ?Sized> WitnessEngine<'m, M> {
                 }))
                 .ok()
                 .and_then(Result::ok)
-                .map(|result| (result, "searched"));
+                .map(|result| (result, RepairOutcome::Repaired));
             }
             if repaired.is_none() && !self.fault_fires(FAULT_SITE_REGEN) {
                 // Seeded repair failed (fault-forced, panicked, or over
                 // budget): rebuild from scratch — a bad seed can poison a
                 // search in ways a cold start does not.
                 repaired = catch_unwind(AssertUnwindSafe(|| {
-                    self.run_session(&graph, &test_nodes, None, &self.repair_session_budget())
+                    self.run_session(graph, &test_nodes, None, &self.repair_session_budget())
                 }))
                 .ok()
                 .and_then(Result::ok)
-                .map(|result| (result, "regenerated"));
+                .map(|result| (result, RepairOutcome::Regenerated));
             }
-            match repaired {
-                Some((result, how)) => {
+            let outcome = match repaired {
+                Some((result, outcome)) => {
                     report.stats.inference_calls += result.stats.inference_calls;
                     report.stats.disturbances_verified += result.stats.disturbances_verified;
                     report.stats.expand_rounds += result.stats.expand_rounds;
-                    let outcome = if how == "searched" {
+                    if outcome == RepairOutcome::Repaired {
                         report.repaired += 1;
-                        lock_recover(&self.stats).repairs_searched += 1;
-                        RepairOutcome::Repaired
+                        tally.repairs_searched += 1;
                     } else {
                         report.regenerated += 1;
-                        lock_recover(&self.stats).repairs_regenerated += 1;
-                        RepairOutcome::Regenerated
-                    };
-                    let fresh = StoredWitness {
+                        tally.repairs_regenerated += 1;
+                    }
+                    *stored = StoredWitness {
                         witness: result.witness,
                         level: result.level,
                         epoch,
                         stale: false,
                     };
-                    report.entries.push(EntryRepair {
-                        test_nodes: key.clone(),
-                        outcome,
-                        result: warm_equivalent(&graph, &key, &fresh),
-                    });
-                    store.insert(key, fresh);
+                    outcome
                 }
                 None => {
                     // Degraded: every recovery path failed. Keep the old
@@ -1064,15 +1110,15 @@ impl<'m, M: VerifiableModel + ?Sized> WitnessEngine<'m, M> {
                     stored.epoch = epoch;
                     stored.stale = true;
                     report.degraded += 1;
-                    lock_recover(&self.stats).repairs_degraded += 1;
-                    report.entries.push(EntryRepair {
-                        test_nodes: key.clone(),
-                        outcome: RepairOutcome::Degraded,
-                        result: warm_equivalent(&graph, &key, &stored),
-                    });
-                    store.insert(key, stored);
+                    tally.repairs_degraded += 1;
+                    RepairOutcome::Degraded
                 }
-            }
+            };
+            report.entries.push(EntryRepair {
+                test_nodes: key.clone(),
+                outcome,
+                result: warm_equivalent(graph, key, stored),
+            });
         }
         report.stats.elapsed = repair_start.elapsed();
         report
@@ -1606,5 +1652,172 @@ mod tests {
         assert_eq!(entry.witness.subgraph, stored.witness.subgraph);
         engine.clear_store();
         assert_eq!(engine.stored_count(), 0);
+    }
+
+    #[test]
+    fn warm_hits_answer_from_the_pre_disturbance_state_during_a_sweep() {
+        use std::sync::mpsc;
+        let (g, _gcn, appnp, tests) = setup();
+        // The first repair parks the sweep: it reports in, then waits for
+        // the test to release it.
+        let (parked_tx, parked_rx) = mpsc::channel::<()>();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let gate = Mutex::new(Some((parked_tx, release_rx)));
+        let hook: EngineFaultHook = Arc::new(move |site: &str| {
+            if site == FAULT_SITE_REPAIR {
+                if let Some((parked, release)) = lock_recover(&gate).take() {
+                    parked.send(()).expect("the test waits for the park");
+                    release.recv().expect("the test releases the sweep");
+                }
+            }
+            false
+        });
+        let engine = WitnessEngine::new(Arc::clone(&g), &appnp, quick_cfg()).with_fault_hook(hook);
+        let cold = engine.generate(&tests);
+        let before = engine.snapshot();
+        // A pair incident to a test node lies inside the entry's footprint,
+        // so the sweep always reaches the repair site.
+        let flip = Disturbance::from_pairs([(tests[0], tests[0] + 1)]);
+
+        let (report, (warm, mid)) = std::thread::scope(|scope| {
+            let engine = &engine;
+            let tests = &tests;
+            let sweep = scope.spawn(|| engine.disturb(&[flip]));
+            parked_rx.recv().expect("the sweep reaches the repair site");
+            // The read runs on its own thread so a read that waits for the
+            // sweep fails the timeout below instead of deadlocking the test.
+            let (done_tx, done_rx) = mpsc::channel();
+            let reader = scope.spawn(move || {
+                let _ = done_tx.send((engine.generate(tests), engine.snapshot()));
+            });
+            let read = done_rx.recv_timeout(Duration::from_secs(30));
+            release_tx.send(()).expect("the sweep is parked");
+            let report = sweep.join().expect("sweep thread");
+            reader.join().expect("reader thread");
+            (
+                report,
+                read.expect("a warm hit answers while the sweep is parked"),
+            )
+        });
+
+        // The parked read saw the complete pre-disturbance state.
+        assert_eq!(warm.witness, cold.witness);
+        assert_eq!(warm.level, cold.level);
+        assert!(!warm.stale);
+        assert_eq!(warm.stats.inference_calls, 0);
+        assert_eq!(warm.stats.disturbances_verified, 0);
+        assert_eq!(warm.stats.expand_rounds, 0);
+        assert_eq!(mid.epoch, before.epoch);
+        assert_eq!(mid.stored, 1);
+        assert_eq!(
+            mid.stats,
+            EngineStats {
+                queries: before.stats.queries + 1,
+                warm_hits: before.stats.warm_hits + 1,
+                ..before.stats.clone()
+            },
+            "no flip or repair counted before the publish"
+        );
+
+        // After the release, counters, epoch and store are the published
+        // post-disturbance state.
+        assert_eq!(report.flips_applied, 1);
+        assert_eq!(report.untouched, 0);
+        let after = engine.snapshot();
+        assert_ne!(after.epoch, before.epoch);
+        assert_eq!(after.epoch, report.epoch);
+        assert_eq!(after.stored, 1);
+        assert_eq!(engine.stored(&tests).expect("entry").epoch, report.epoch);
+        let stats = after.stats;
+        assert_eq!(stats.flips_applied, 1);
+        assert_eq!(
+            stats.repairs_reverified
+                + stats.repairs_searched
+                + stats.repairs_regenerated
+                + stats.repairs_degraded,
+            1
+        );
+        assert_eq!(stats.repairs_skipped, 0);
+    }
+
+    #[test]
+    fn a_sweep_that_unwinds_publishes_nothing() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let (g, _gcn, appnp, tests) = setup();
+        let armed = Arc::new(AtomicBool::new(false));
+        let hook: EngineFaultHook = {
+            let armed = Arc::clone(&armed);
+            Arc::new(move |site: &str| {
+                if site == FAULT_SITE_REPAIR && armed.swap(false, Ordering::SeqCst) {
+                    panic!("injected panic at the repair site");
+                }
+                false
+            })
+        };
+        let engine = WitnessEngine::new(Arc::clone(&g), &appnp, quick_cfg()).with_fault_hook(hook);
+        let first = engine.generate(&tests);
+        let before = engine.snapshot();
+        let entry_before = engine.stored(&tests).expect("stored");
+        let edges_before = engine.graph().num_edges();
+        let flip = [Disturbance::from_pairs([(tests[0], tests[0] + 1)])];
+
+        armed.store(true, Ordering::SeqCst);
+        let unwound = catch_unwind(AssertUnwindSafe(|| engine.disturb(&flip)));
+        assert!(unwound.is_err(), "the hook's panic unwinds out of disturb");
+
+        // Nothing was published.
+        assert_eq!(engine.epoch(), before.epoch);
+        assert_eq!(engine.graph().num_edges(), edges_before);
+        assert_eq!(engine.stored_count(), before.stored);
+        let entry = engine.stored(&tests).expect("entry survives");
+        assert_eq!(entry.witness, entry_before.witness);
+        assert_eq!(entry.level, entry_before.level);
+        assert_eq!(entry.epoch, entry_before.epoch);
+        assert_eq!(entry.stale, entry_before.stale);
+        assert_eq!(engine.stats(), before.stats);
+        // The caches serve the pre-disturbance graph again: the sweep's
+        // lookup cached this neighborhood at the abandoned epoch, yet a
+        // neighborhood looked up twice now is computed once.
+        let radius = appnp.receptive_hops().max(quick_cfg().candidate_hops);
+        let graph = engine.graph();
+        let (hits, _) = engine.caches().hood_stats();
+        engine.caches().hood(&graph, &tests, radius);
+        engine.caches().hood(&graph, &tests, radius);
+        assert_eq!(engine.caches().hood_stats().0, hits + 1);
+
+        // Warm and cold queries answer as a fresh engine on the
+        // pre-disturbance graph does.
+        let fresh = WitnessEngine::new(Arc::clone(&g), &appnp, quick_cfg());
+        let warm = engine.generate(&tests);
+        assert_eq!(warm.witness, first.witness);
+        assert_eq!(warm.witness, fresh.generate(&tests).witness);
+        assert_eq!(warm.stats.inference_calls, 0);
+        let other = vec![1, g.num_nodes() - 2];
+        let cold = engine.generate(&other);
+        let reference = fresh.generate(&other);
+        assert_eq!(cold.witness, reference.witness);
+        assert_eq!(cold.level, reference.level);
+        assert_eq!(cold.nontrivial, reference.nontrivial);
+        assert_eq!(cold.stale, reference.stale);
+        assert_eq!(cold.stats.inference_calls, reference.stats.inference_calls);
+        assert_eq!(cold.stats.expand_rounds, reference.stats.expand_rounds);
+
+        // The next disturbance applies and repairs normally.
+        let report = engine.disturb(&flip);
+        assert_eq!(report.flips_applied, 1);
+        assert_ne!(report.epoch, before.epoch);
+        assert_eq!(engine.epoch(), report.epoch);
+        assert_ne!(engine.graph().num_edges(), edges_before);
+        assert_eq!(report.degraded, 0);
+        assert_eq!(
+            report.untouched + report.reverified + report.repaired + report.regenerated,
+            2
+        );
+        for key in [&tests, &other] {
+            let stored = engine.stored(key).expect("entry");
+            assert_eq!(stored.epoch, report.epoch);
+            assert!(!stored.stale);
+        }
+        assert_eq!(engine.stats().flips_applied, 1);
     }
 }

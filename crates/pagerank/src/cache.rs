@@ -104,6 +104,14 @@ impl PprCache {
         inner.epoch = new_epoch;
     }
 
+    /// Drops every row and forgets the epoch, as if freshly created; the
+    /// lifetime hit/miss counters are kept.
+    pub fn clear(&self) {
+        let mut inner = self.inner.lock().expect("PprCache lock poisoned");
+        inner.rows.clear();
+        inner.epoch = 0;
+    }
+
     /// Number of rows currently held.
     pub fn len(&self) -> usize {
         self.inner

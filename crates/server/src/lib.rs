@@ -1962,8 +1962,9 @@ fn handle_disturb(
     let disturbance_id = state.disturb_seq.fetch_add(1, Ordering::SeqCst) + 1;
     // Fan-out: every (subscription, touched-entry) match owes exactly one
     // update, pushed the moment the engine's repair completed (the entry's
-    // result was captured under the store lock, so it is bit-exact with a
-    // fresh /generate at this epoch). Owed is counted under the registry
+    // result was built under the engine's writer lock from the exact state
+    // it then published atomically, so it is bit-exact with a fresh
+    // /generate at this epoch). Owed is counted under the registry
     // lock; each push is resolved exactly once by the event loop.
     if !report.entries.is_empty() {
         let subs = lock_subs(state);
